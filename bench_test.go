@@ -224,8 +224,9 @@ func BenchmarkAblationGenerational(b *testing.B) {
 // collection of a fixed 200k-object list shows exactly the collector's
 // pre-existing allocation baseline (2 allocs/op: the escaping Collection
 // record and the root-scan closure) — the nil Observer check adds nothing
-// to markBase/markInfra. Compare against BenchmarkTelemetryOn for the
-// enabled-mode cost (one Event plus its phase/kind slices per collection).
+// to markBase/markInfra. Asserted in-line like BenchmarkCensusOff. Compare
+// against BenchmarkTelemetryOn for the enabled-mode cost (one Event plus its
+// phase/kind slices per collection).
 func BenchmarkTelemetryOff(b *testing.B) {
 	for _, infra := range []bool{false, true} {
 		name := "Base"
@@ -239,7 +240,12 @@ func BenchmarkTelemetryOff(b *testing.B) {
 			th := vm.NewThread("main")
 			fr := th.Push(1)
 			buildList(vm, th, fr, node, 200_000)
+			vm.Collect() // settle one-time lazy growth before measuring
 			b.ReportAllocs()
+			allocs := testing.AllocsPerRun(3, func() { vm.Collect() })
+			if allocs > 2 {
+				b.Fatalf("disabled-telemetry collection allocates %.0f times/op, want <= 2 (baseline)", allocs)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				vm.Collect()
@@ -453,32 +459,41 @@ func BenchmarkMicroAssertOwnedBy(b *testing.B) {
 // graph at the given width. mark-ms/op isolates the traced phase; compare
 // widths to read the speedup (≈1.0 on a single-CPU host — the sweep is
 // about scaling headroom, and CI runs it at -benchtime 1x as a smoke test).
+// Both configurations are swept: Base marks with no checks, and
+// Infrastructure binds the assertion engine's per-worker check shards, as
+// the benchmark's paper-db-w2 workload does.
 func BenchmarkParallelMark(b *testing.B) {
 	for _, name := range []string{"pseudojbb", "_209_db"} {
 		w, err := workloads.ByName(name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, width := range []int{1, 2, 4, 8} {
-			w, width := w, width
-			b.Run(fmt.Sprintf("%s/workers=%d", w.Name, width), func(b *testing.B) {
-				vm := gcassert.New(gcassert.Options{HeapBytes: w.Heap})
-				run := w.New(vm, false)
-				run(0) // build the live heap
-				vm.SetMarkWorkers(width)
-				vm.Collect() // warm: builds the engine and settles the live set
-				var markNs int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					col := vm.Collect()
-					markNs += col.MarkTime.Nanoseconds()
-					if col.Workers != width {
-						b.Fatalf("collection ran with %d workers, want %d", col.Workers, width)
+		for _, infra := range []bool{false, true} {
+			mode := "Base"
+			if infra {
+				mode = "Infrastructure"
+			}
+			for _, width := range []int{1, 2, 4, 8} {
+				w, infra, width := w, infra, width
+				b.Run(fmt.Sprintf("%s/%s/workers=%d", w.Name, mode, width), func(b *testing.B) {
+					vm := gcassert.New(gcassert.Options{HeapBytes: w.Heap, Infrastructure: infra})
+					run := w.New(vm, false)
+					run(0) // build the live heap
+					vm.SetMarkWorkers(width)
+					vm.Collect() // warm: builds the engine and settles the live set
+					var markNs int64
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						col := vm.Collect()
+						markNs += col.MarkTime.Nanoseconds()
+						if col.Workers != width {
+							b.Fatalf("collection ran with %d workers, want %d", col.Workers, width)
+						}
 					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(markNs)/1e6/float64(b.N), "mark-ms/op")
-			})
+					b.StopTimer()
+					b.ReportMetric(float64(markNs)/1e6/float64(b.N), "mark-ms/op")
+				})
+			}
 		}
 	}
 }

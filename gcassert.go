@@ -184,11 +184,12 @@ type Options struct {
 	Generational bool
 	// Workers selects the number of mark-phase workers. 0 or 1 (the
 	// default) uses the sequential reference marker; n > 1 traces full
-	// collections on the work-stealing parallel mark engine, with assertion
-	// checks sharded per worker and violation paths reconstructed from
-	// parent breadcrumbs. Generational minor collections always mark
-	// sequentially. Runtimes with an OnViolation decider fall back to the
-	// sequential marker (the decider's reaction must apply at edge time).
+	// collections on the parallel mark engine, with assertion checks
+	// sharded per worker and violation paths found after the mark by a
+	// search over the marked objects. Generational minor collections
+	// always mark sequentially. Runtimes with an OnViolation decider fall
+	// back to the sequential marker (the decider's reaction must apply at
+	// edge time).
 	Workers int
 	// MinorRatio is the number of minor collections between forced full
 	// collections in generational mode (default 4).

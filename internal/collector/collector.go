@@ -169,8 +169,8 @@ func New(space *heap.Space, roots RootScanner, hooks Hooks, infra bool) *Collect
 }
 
 // SetWorkers selects the mark-phase worker count. 1 (the default) runs the
-// sequential reference marker; n > 1 runs the work-stealing parallel mark
-// engine, provided the cycle supports it (hooks, if any, must implement
+// sequential reference marker; n > 1 runs the parallel mark engine,
+// provided the cycle supports it (hooks, if any, must implement
 // ParallelHooks, and sticky-mark collections always mark sequentially).
 // Callable between collections only.
 func (c *Collector) SetWorkers(n int) {

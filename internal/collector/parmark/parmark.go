@@ -1,16 +1,19 @@
 // Package parmark is the parallel mark engine: N workers trace the heap
-// concurrently, each with its own Chase-Lev work-stealing deque, claiming
-// objects via an atomic mark-bit CAS (heap.ClaimMark) and detecting
-// termination with a distributed active-worker count.
+// concurrently, claiming objects via an atomic mark-bit CAS
+// (heap.ClaimMark).
+//
+// Work distribution follows the Go runtime's gcWork/workbuf design. Each
+// worker marks from a private stack. While some worker is parked for lack
+// of work, a busy worker moves a packet of packetSize items from the bottom
+// of its stack into a mutex-guarded pool; a worker whose stack runs dry
+// takes a packet from the pool or parks. The mark ends when every worker is
+// parked and the pool is empty.
 //
 // The paper's path-reconstruction trick (§2.7) keeps the current DFS path
-// on the worklist by setting a low-order bit on visited entries — a scheme
-// that only works with one sequential depth-first worklist. Here each
-// worker instead records a parent breadcrumb, child → (parent, slot, root),
-// on first claim; since every object is claimed exactly once, the union of
-// the per-worker breadcrumb tables is a forest over the marked set, and
-// walking it parent-by-parent reconstructs a complete root-to-object path
-// for any violation found during the parallel trace (crumbs.go).
+// on the worklist, which only works with one sequential depth-first
+// worklist. Workers here record no paths at all: paths are needed only for
+// the rare violation, so the Resolver searches the marked objects for them
+// at merge time (resolver.go).
 //
 // Assertion checks ride on the claim: the CAS returns the pre-claim header
 // word, so a worker learns mark status, assertion flags, and TypeID from
@@ -22,13 +25,16 @@
 package parmark
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gcassert/internal/heap"
 )
+
+// packetSize is the number of work items moved to or from the shared pool
+// at once.
+const packetSize = 256
 
 // Root is one root slot handed to the engine. Slot points at live storage
 // so force-true severing can clear it; each root index is processed by
@@ -43,15 +49,17 @@ type Root struct {
 // the heap's atomic flag API for cross-worker once-only elections but must
 // not touch shared engine state (that happens in Checks.Merge).
 type Shard interface {
-	// OnEdge is invoked for an edge parent→child (parent == heap.Nil and
-	// slot == -1 for a root edge) when the child carried assertion flags in
-	// oldHeader, or — if Checks.WantAllClaims — for every claiming edge.
+	// OnEdge is invoked for an edge parent→child when the child carried
+	// assertion flags in oldHeader, or — if Checks.WantAllClaims — for
+	// every claiming edge. For a root edge parent == heap.Nil, slot == -1
+	// and root is the root's index; for a heap edge root is -1.
 	// claimed reports whether this worker's claim won (first encounter);
 	// oldHeader is the child's header word before the claim.
 	OnEdge(parent heap.Addr, slot int, root int32, child heap.Addr, oldHeader uint64, claimed bool)
 	// OnDeadForced is invoked instead of OnEdge when force-dead mode
 	// severed the edge to an asserted-dead child. The slot (or root slot)
-	// has already been cleared and the child was not claimed.
+	// has already been cleared and the child was not claimed. The edge
+	// arguments are as for OnEdge.
 	OnDeadForced(parent heap.Addr, slot int, root int32, child heap.Addr, oldHeader uint64)
 }
 
@@ -66,7 +74,7 @@ type Checks interface {
 	// Shard returns worker i's check shard.
 	Shard(i int) Shard
 	// Merge runs on the collecting goroutine after all workers joined; the
-	// resolver reconstructs root-to-object paths from the breadcrumbs.
+	// resolver reconstructs root-to-object paths.
 	Merge(r *Resolver)
 }
 
@@ -74,7 +82,8 @@ type Checks interface {
 type WorkerStats struct {
 	// Marked is the number of objects whose claim this worker won.
 	Marked int
-	// Steals is the number of work items stolen from other workers.
+	// Steals is the number of work packets this worker took from the
+	// shared pool.
 	Steals int
 	// DurNs is the worker's wall-clock span, spawn to exit.
 	DurNs int64
@@ -95,44 +104,35 @@ type Engine struct {
 	workers []*worker
 
 	roots        []Root
-	checks       Checks
 	forceDead    bool
 	allClaims    bool
 	collectMarks bool
 
-	// active is the distributed-termination count of checked-in workers.
-	active  atomic.Int64
-	aborted atomic.Bool
-	panicMu sync.Mutex
-	panicV  any
-}
+	// hungry is set while a worker is parked and the pool is empty. Busy
+	// workers load it once per scanned object to decide whether to share.
+	hungry atomic.Bool
 
-// crumb is the breadcrumb recorded when an object is first claimed: the
-// edge it was claimed through. parent == heap.Nil means a root edge, with
-// root indexing Engine.roots.
-type crumb struct {
-	parent heap.Addr
-	slot   int32
-	root   int32
+	mu     sync.Mutex
+	cond   sync.Cond
+	pool   []heap.Addr // whole packets of shared work
+	parked int
+	done   bool
+	panicV any
 }
 
 type worker struct {
 	eng   *Engine
 	id    int
-	deque *Deque
 	shard Shard
-	// crumbs is non-nil only in infrastructure mode.
-	crumbs map[heap.Addr]crumb
+	stack []heap.Addr
 
-	// curObj / curRoot identify the edge source while scanning.
-	curObj  heap.Addr
-	curRoot int32
+	// cur is the object being scanned (heap.Nil during the root scan).
+	cur     heap.Addr
 	visitFn func(slot int, child heap.Addr)
 
 	marked  int
 	steals  int
 	markBuf []heap.Addr
-	rng     uint64
 	dur     time.Duration
 }
 
@@ -140,13 +140,9 @@ type worker struct {
 // (the sequential marker is the n == 1 path and lives in the collector).
 func NewEngine(space *heap.Space, n int) *Engine {
 	e := &Engine{space: space}
+	e.cond.L = &e.mu
 	for i := 0; i < n; i++ {
-		e.workers = append(e.workers, &worker{
-			eng:   e,
-			id:    i,
-			deque: NewDeque(256),
-			rng:   uint64(i)*0x9e3779b97f4a7c15 + 1,
-		})
+		e.workers = append(e.workers, &worker{eng: e, id: i})
 	}
 	return e
 }
@@ -155,42 +151,27 @@ func NewEngine(space *heap.Space, n int) *Engine {
 func (e *Engine) Workers() int { return len(e.workers) }
 
 // Mark runs one parallel trace from roots. checks may be nil (Base mode or
-// infrastructure without hooks); crumbs enables breadcrumb recording
-// (infrastructure mode — the cost is paid whether or not assertions exist,
-// matching the sequential marker's path-tracking discipline); onMark, if
-// non-nil, is replayed serially after the workers join (the census callback
-// is not goroutine-safe).
+// infrastructure without hooks); onMark, if non-nil, is replayed serially
+// after the workers join (the census callback is not goroutine-safe). A
+// panic on any worker aborts the mark and is re-raised on the caller.
 //
 // The caller must guarantee all mark bits are clear (the engine supports
 // only full traces; generational minor collections use the sequential
 // marker).
-func (e *Engine) Mark(roots []Root, checks Checks, crumbs bool, onMark func(heap.Addr)) Result {
+func (e *Engine) Mark(roots []Root, checks Checks, onMark func(heap.Addr)) Result {
 	e.roots = roots
-	e.checks = checks
 	e.forceDead = checks != nil && checks.ForceDead()
 	e.allClaims = checks != nil && checks.WantAllClaims()
 	e.collectMarks = onMark != nil
-	e.aborted.Store(false)
-	e.panicV = nil
-	e.active.Store(int64(len(e.workers)))
+	e.pool, e.parked, e.done, e.panicV = e.pool[:0], 0, false, nil
+	e.hungry.Store(false)
 
 	for _, w := range e.workers {
 		w.marked, w.steals, w.dur = 0, 0, 0
-		w.markBuf = w.markBuf[:0]
+		w.stack, w.markBuf = w.stack[:0], w.markBuf[:0]
+		w.shard, w.visitFn = nil, w.visitBase
 		if checks != nil {
-			w.shard = checks.Shard(w.id)
-		} else {
-			w.shard = nil
-		}
-		if crumbs {
-			w.crumbs = make(map[heap.Addr]crumb, 1024)
-		} else {
-			w.crumbs = nil
-		}
-		if crumbs {
-			w.visitFn = w.visitInfra
-		} else {
-			w.visitFn = w.visitBase
+			w.shard, w.visitFn = checks.Shard(w.id), w.visitChecked
 		}
 	}
 
@@ -201,12 +182,7 @@ func (e *Engine) Mark(roots []Root, checks Checks, crumbs bool, onMark func(heap
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					e.panicMu.Lock()
-					if e.panicV == nil {
-						e.panicV = p
-					}
-					e.panicMu.Unlock()
-					e.aborted.Store(true)
+					e.abort(p)
 				}
 			}()
 			start := time.Now()
@@ -235,119 +211,80 @@ func (e *Engine) Mark(roots []Root, checks Checks, crumbs bool, onMark func(heap
 	if checks != nil {
 		checks.Merge(&Resolver{eng: e})
 	}
-	e.checks = nil
 	return res
 }
 
-// run is one worker's mark loop: strided root scan, then drain-and-steal
-// until global termination.
+// run is one worker's mark loop: strided root scan, then drain the private
+// stack, refilling it from the pool until the mark ends.
 func (e *Engine) run(w *worker) {
 	n := len(e.workers)
 	for i := w.id; i < len(e.roots); i += n {
 		e.rootEdge(w, int32(i))
 	}
 	for {
-		if e.aborted.Load() {
+		for len(w.stack) > 0 {
+			top := len(w.stack) - 1
+			w.cur = w.stack[top]
+			w.stack = w.stack[:top]
+			e.space.ForEachRefAtomic(w.cur, w.visitFn)
+			if len(w.stack) > packetSize && e.hungry.Load() {
+				e.share(w)
+			}
+		}
+		if !e.refill(w) {
 			return
 		}
-		if item, ok := w.deque.Pop(); ok {
-			w.process(item)
-			continue
-		}
-		if item, ok := e.steal(w); ok {
-			w.process(item)
-			continue
-		}
-		if e.quiesce(w) {
-			return
-		}
 	}
 }
 
-// steal sweeps the other workers' deques in a per-worker pseudo-random
-// order, retrying lost CAS races.
-func (e *Engine) steal(w *worker) (uint64, bool) {
-	n := len(e.workers)
-	if n == 1 {
-		return 0, false
-	}
-	for sweep := 0; sweep < 2; sweep++ {
-		off := int(w.nextRand() % uint64(n))
-		for i := 0; i < n; i++ {
-			v := e.workers[(off+i)%n]
-			if v == w {
-				continue
-			}
-			for {
-				item, ok, retry := v.deque.Steal()
-				if ok {
-					w.steals++
-					return item, true
-				}
-				if !retry {
-					break
-				}
-			}
-		}
-	}
-	return 0, false
+// share moves one packet from the bottom of w's stack, its oldest and
+// likely largest subtrees, into the pool and wakes a parked worker.
+func (e *Engine) share(w *worker) {
+	e.mu.Lock()
+	e.pool = append(e.pool, w.stack[:packetSize]...)
+	e.hungry.Store(false)
+	e.mu.Unlock()
+	e.cond.Signal()
+	w.stack = w.stack[:copy(w.stack, w.stack[packetSize:])]
 }
 
-// quiesce implements distributed termination detection: the worker checks
-// out of the active count, then spins watching for either global
-// termination (every worker checked out — no work can exist, because a
-// worker only checks out with an empty deque and only its owner pushes to
-// a deque) or work appearing in some deque, in which case it checks back
-// in and resumes stealing. Returns true to terminate.
-func (e *Engine) quiesce(w *worker) bool {
-	e.active.Add(-1)
-	for {
-		if e.aborted.Load() {
+// refill gives w's empty stack a packet from the pool, parking until one
+// arrives. It returns false when the mark is over: every worker is parked
+// with the pool empty, so no work is left anywhere, or a worker panicked.
+func (e *Engine) refill(w *worker) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for !e.done {
+		if n := len(e.pool); n > 0 {
+			w.stack = append(w.stack, e.pool[n-packetSize:]...)
+			e.pool = e.pool[:n-packetSize]
+			w.steals++
+			e.hungry.Store(e.parked > 0 && len(e.pool) == 0)
 			return true
 		}
-		if e.active.Load() == 0 {
-			return true
+		if e.parked == len(e.workers)-1 {
+			e.done = true
+			e.cond.Broadcast()
+			return false
 		}
-		for _, v := range e.workers {
-			if v != w && v.deque.Size() > 0 {
-				e.active.Add(1)
-				return false
-			}
-		}
-		runtime.Gosched()
+		e.parked++
+		e.hungry.Store(true)
+		e.cond.Wait()
+		e.parked--
 	}
+	return false
 }
 
-// nextRand is a xorshift64 PRNG for steal-victim selection.
-func (w *worker) nextRand() uint64 {
-	x := w.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	w.rng = x
-	return x
-}
-
-// Work items pack (address, root index) into one deque word: the address
-// in the high half, the index of the root whose subtree the object belongs
-// to in the low half. Carrying the root index with the work makes every
-// violation's root description available without a breadcrumb walk.
-func packItem(a heap.Addr, root int32) uint64 {
-	return uint64(uint32(a))<<32 | uint64(uint32(root))
-}
-
-func unpackItem(item uint64) (heap.Addr, int32) {
-	return heap.Addr(uint32(item >> 32)), int32(uint32(item))
-}
-
-func (w *worker) push(child heap.Addr) {
-	w.deque.Push(packItem(child, w.curRoot))
-}
-
-// process scans one claimed object's outgoing references.
-func (w *worker) process(item uint64) {
-	w.curObj, w.curRoot = unpackItem(item)
-	w.eng.space.ForEachRefAtomic(w.curObj, w.visitFn)
+// abort records a worker panic and ends the mark: parked workers wake and
+// exit, busy ones exit once their stacks drain.
+func (e *Engine) abort(p any) {
+	e.mu.Lock()
+	if e.panicV == nil {
+		e.panicV = p
+	}
+	e.done = true
+	e.mu.Unlock()
+	e.cond.Broadcast()
 }
 
 // rootEdge handles the edge from root index idx into the heap.
@@ -357,69 +294,61 @@ func (e *Engine) rootEdge(w *worker, idx int32) {
 	if a == heap.Nil {
 		return
 	}
-	w.curObj, w.curRoot = heap.Nil, idx
-	s := e.space
-	if e.forceDead {
-		if h := s.AtomicHeader(a); heap.HeaderFlags(h)&heap.FlagDead != 0 {
-			*r.Slot = heap.Nil
-			w.shard.OnDeadForced(heap.Nil, -1, idx, a, h)
-			return
-		}
-	}
-	old, claimed := s.ClaimMark(a)
-	if claimed {
-		w.claimed(a, -1, old)
-	} else if w.shard != nil && heap.HeaderFlags(old)&heap.AssertFlags != 0 {
-		w.shard.OnEdge(heap.Nil, -1, idx, a, old, false)
+	w.cur = heap.Nil
+	if w.shard == nil {
+		w.visitBase(-1, a)
+	} else if w.edge(-1, idx, a) {
+		*r.Slot = heap.Nil
 	}
 }
 
-// claimed records a winning claim of child via the current edge (curObj,
-// slot, curRoot) and pushes the child for scanning.
-func (w *worker) claimed(child heap.Addr, slot int, old uint64) {
-	w.marked++
-	if w.crumbs != nil {
-		w.crumbs[child] = crumb{parent: w.curObj, slot: int32(slot), root: w.curRoot}
-	}
-	if w.shard != nil && (heap.HeaderFlags(old)&heap.AssertFlags != 0 || w.eng.allClaims) {
-		w.shard.OnEdge(w.curObj, slot, w.curRoot, child, old, true)
-	}
-	if w.eng.collectMarks {
-		w.markBuf = append(w.markBuf, child)
-	}
-	w.push(child)
-}
-
-// visitInfra is the infrastructure-mode edge visitor: breadcrumbs, checks,
-// and force-dead severing.
-func (w *worker) visitInfra(slot int, child heap.Addr) {
+// edge runs the edge w.cur→child through the checks and claims the child.
+// It returns true when force-dead mode severs the edge: the child carries
+// the dead assertion, stays unmarked and is reclaimed this cycle, and the
+// caller must clear the slot.
+func (w *worker) edge(slot int, root int32, child heap.Addr) (sever bool) {
 	e := w.eng
 	s := e.space
 	if e.forceDead {
 		if h := s.AtomicHeader(child); heap.HeaderFlags(h)&heap.FlagDead != 0 {
-			// Sever before ever claiming, so the asserted-dead object stays
-			// unmarked and is reclaimed this cycle. The slot belongs to the
-			// object this worker is scanning — no other worker writes it.
-			s.ClearRefSlotUnchecked(w.curObj, slot)
-			w.shard.OnDeadForced(w.curObj, slot, w.curRoot, child, h)
-			return
+			w.shard.OnDeadForced(w.cur, slot, root, child, h)
+			return true
 		}
 	}
 	old, claimed := s.ClaimMark(child)
+	flagged := heap.HeaderFlags(old)&heap.AssertFlags != 0
 	if claimed {
-		w.claimed(child, slot, old)
-	} else if w.shard != nil && heap.HeaderFlags(old)&heap.AssertFlags != 0 {
-		w.shard.OnEdge(w.curObj, slot, w.curRoot, child, old, false)
+		if flagged || e.allClaims {
+			w.shard.OnEdge(w.cur, slot, root, child, old, true)
+		}
+		w.claim(child)
+	} else if flagged {
+		w.shard.OnEdge(w.cur, slot, root, child, old, false)
+	}
+	return false
+}
+
+// visitChecked is the edge visitor when checks are bound.
+func (w *worker) visitChecked(slot int, child heap.Addr) {
+	if w.edge(slot, -1, child) {
+		// The slot belongs to the object this worker is scanning — no
+		// other worker writes it.
+		w.eng.space.ClearRefSlotUnchecked(w.cur, slot)
 	}
 }
 
 // visitBase is the Base-mode edge visitor: claim and push, nothing else.
-func (w *worker) visitBase(slot int, child heap.Addr) {
+func (w *worker) visitBase(_ int, child heap.Addr) {
 	if _, claimed := w.eng.space.ClaimMark(child); claimed {
-		w.marked++
-		if w.eng.collectMarks {
-			w.markBuf = append(w.markBuf, child)
-		}
-		w.push(child)
+		w.claim(child)
 	}
+}
+
+// claim records a winning claim and pushes the child for scanning.
+func (w *worker) claim(a heap.Addr) {
+	w.marked++
+	if w.eng.collectMarks {
+		w.markBuf = append(w.markBuf, a)
+	}
+	w.stack = append(w.stack, a)
 }

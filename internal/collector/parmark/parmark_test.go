@@ -88,7 +88,7 @@ func TestMarkMatchesSequentialReachability(t *testing.T) {
 			want := seqReachable(space, roots)
 
 			eng := parmark.NewEngine(space, workers)
-			res := eng.Mark(parRoots(roots), nil, false, nil)
+			res := eng.Mark(parRoots(roots), nil, nil)
 			if res.ObjectsMarked != len(want) {
 				t.Fatalf("workers=%d seed=%d: marked %d, want %d", workers, seed, res.ObjectsMarked, len(want))
 			}
@@ -115,7 +115,7 @@ func TestMarkMatchesSequentialReachability(t *testing.T) {
 }
 
 // pathChecks records the claim edge of every object (WantAllClaims) and, at
-// merge time, verifies breadcrumb paths for a sample of claimed objects.
+// merge time, verifies resolver paths for every claimed object.
 type pathChecks struct {
 	t      *testing.T
 	space  *heap.Space
@@ -157,9 +157,9 @@ func (pc *pathChecks) Merge(r *parmark.Resolver) {
 	pc.merged(r, all)
 }
 
-// TestBreadcrumbPathsAreComplete marks in parallel with breadcrumbs on and
-// verifies, for every claimed object, that the resolver reconstructs a
-// root-anchored path whose consecutive hops really are heap edges.
+// TestBreadcrumbPathsAreComplete marks in parallel and verifies, for every
+// claimed object, that the resolver reconstructs a root-anchored path whose
+// consecutive hops really are heap edges.
 func TestBreadcrumbPathsAreComplete(t *testing.T) {
 	space, roots := buildGraph(t, 7, 5000, 8)
 	eng := parmark.NewEngine(space, 4)
@@ -198,7 +198,7 @@ func TestBreadcrumbPathsAreComplete(t *testing.T) {
 			verified++
 		}
 	}
-	res := eng.Mark(parRoots(roots), pc, true, nil)
+	res := eng.Mark(parRoots(roots), pc, nil)
 	if verified != res.ObjectsMarked {
 		t.Fatalf("verified %d paths, marked %d objects", verified, res.ObjectsMarked)
 	}
@@ -211,7 +211,7 @@ func TestEngineReuseAcrossCycles(t *testing.T) {
 	eng := parmark.NewEngine(space, 4)
 	want := len(seqReachable(space, roots))
 	for cycle := 0; cycle < 3; cycle++ {
-		res := eng.Mark(parRoots(roots), nil, cycle%2 == 0, nil)
+		res := eng.Mark(parRoots(roots), nil, nil)
 		if res.ObjectsMarked != want {
 			t.Fatalf("cycle %d: marked %d, want %d", cycle, res.ObjectsMarked, want)
 		}
@@ -224,7 +224,7 @@ func TestOnMarkReplaySeesEveryObject(t *testing.T) {
 	space, roots := buildGraph(t, 11, 4000, 8)
 	eng := parmark.NewEngine(space, 4)
 	seen := make(map[heap.Addr]int)
-	res := eng.Mark(parRoots(roots), nil, false, func(a heap.Addr) { seen[a]++ })
+	res := eng.Mark(parRoots(roots), nil, func(a heap.Addr) { seen[a]++ })
 	if len(seen) != res.ObjectsMarked {
 		t.Fatalf("OnMark saw %d distinct objects, marked %d", len(seen), res.ObjectsMarked)
 	}

@@ -2,7 +2,7 @@ package collector
 
 import "gcassert/internal/collector/parmark"
 
-// markParallel runs the work-stealing parallel mark. It returns false when
+// markParallel runs the parallel mark engine. It returns false when
 // the cycle cannot run in parallel — hooks that do not implement
 // ParallelHooks, or a binding that demands the sequential marker — in which
 // case the caller falls back to markInfra/markBase. Mark bits must be clear
@@ -28,10 +28,7 @@ func (c *Collector) markParallel(col *Collection) bool {
 	c.roots.Roots(func(r Root) {
 		c.parRoots = append(c.parRoots, parmark.Root{Slot: r.Slot, Desc: r.Desc})
 	})
-	// Breadcrumbs are recorded whenever infrastructure mode is on, mirroring
-	// the sequential marker, which pays for path tracking in the
-	// Infrastructure configuration whether or not assertions exist.
-	res := c.par.Mark(c.parRoots, checks, c.infra, c.OnMark)
+	res := c.par.Mark(c.parRoots, checks, c.OnMark)
 	col.RootsScanned = res.RootsScanned
 	col.ObjectsMarked = res.ObjectsMarked
 	col.Workers = c.workers

@@ -69,12 +69,13 @@ func (e *Engine) OnEdge(c *collector.Collector, parent heap.Addr, slot int, chil
 		}
 	}
 	if f&heap.FlagOwnee != 0 && f&heap.FlagOwned == 0 && !e.inOwnership {
+		// Reachable, but not through the asserted owner.
 		if cs := e.costs; cs != nil {
 			t0 := time.Now()
-			e.onUnownedReachable(c.GCCount(), child, c.CurrentRoot(), c.CurrentPath())
+			e.report(e.edgeViolation(KindOwnedBy, c.GCCount(), child, c.CurrentRoot(), c.CurrentPath()))
 			cs.addSince(KindOwnedBy, t0)
 		} else {
-			e.onUnownedReachable(c.GCCount(), child, c.CurrentRoot(), c.CurrentPath())
+			e.report(e.edgeViolation(KindOwnedBy, c.GCCount(), child, c.CurrentRoot(), c.CurrentPath()))
 		}
 		// Suppress duplicate reports for this ownee within this cycle; the
 		// owned flags are reset in PostMark.
@@ -86,7 +87,6 @@ func (e *Engine) OnEdge(c *collector.Collector, parent heap.Addr, slot int, chil
 // onDeadReachable handles an asserted-dead object found reachable. ancestors
 // is the current trace path (excluding the object itself).
 func (e *Engine) onDeadReachable(gc uint64, obj heap.Addr, f heap.Flag, root string, ancestors []heap.Addr) collector.EdgeAction {
-	s := e.space
 	if f&flagLogged != 0 {
 		// Already reported this cycle. In force mode, keep severing every
 		// incoming edge so the object really is reclaimed this collection.
@@ -95,22 +95,12 @@ func (e *Engine) onDeadReachable(gc uint64, obj heap.Addr, f heap.Flag, root str
 		}
 		return collector.EdgeProceed
 	}
-	e.stats.DeadViolations++
 	e.markLogged(obj)
-	v := &Violation{
-		Kind:     KindDead,
-		GC:       gc,
-		Object:   obj,
-		TypeName: s.TypeName(obj),
-		Site:     s.SiteDesc(obj),
-		Root:     root,
-		Path:     BuildPath(s, ancestors, obj),
-	}
-	act := e.report(v)
+	act := e.report(e.edgeViolation(KindDead, gc, obj, root, ancestors))
 	if act != collector.EdgeClear {
 		// Log mode: the assertion is one-shot; a reported object is not
 		// re-reported at later collections.
-		s.ClearFlag(obj, heap.FlagDead)
+		e.space.ClearFlag(obj, heap.FlagDead)
 	}
 	return act
 }
@@ -118,43 +108,39 @@ func (e *Engine) onDeadReachable(gc uint64, obj heap.Addr, f heap.Flag, root str
 // onSharedUnshared handles a second encounter of an asserted-unshared
 // object. As the paper notes (§2.7), only the second path is available.
 func (e *Engine) onSharedUnshared(gc uint64, obj heap.Addr, root string, ancestors []heap.Addr) {
-	e.stats.UnsharedViolations++
 	e.markLogged(obj)
-	v := &Violation{
-		Kind:     KindUnshared,
-		GC:       gc,
-		Object:   obj,
-		TypeName: e.space.TypeName(obj),
-		Site:     e.space.SiteDesc(obj),
-		Root:     root,
-		Path:     BuildPath(e.space, ancestors, obj),
-		Message:  "second path shown; the first path was traced earlier",
-	}
-	e.report(v)
+	e.report(e.edgeViolation(KindUnshared, gc, obj, root, ancestors))
 }
 
-// onUnownedReachable handles an ownee reached during the normal scan without
-// having been marked owned by the ownership phase: it is reachable, but not
-// through its owner.
-func (e *Engine) onUnownedReachable(gc uint64, obj heap.Addr, root string, ancestors []heap.Addr) {
+// edgeViolation builds the report of a per-edge violation of kind k on obj,
+// reached from root through ancestors, and counts it in the kind's stats.
+// Both markers report through it, so each kind's counter and message are
+// defined once.
+func (e *Engine) edgeViolation(k Kind, gc uint64, obj heap.Addr, root string, ancestors []heap.Addr) *Violation {
 	s := e.space
-	e.stats.OwnedViolations++
-	owner := e.owneeOwner[obj]
-	msg := "owner unknown"
-	if owner != heap.Nil {
-		msg = fmt.Sprintf("asserted owner is %s@%#x, which does not reach the object", s.TypeName(owner), uint32(owner))
-	}
 	v := &Violation{
-		Kind:     KindOwnedBy,
+		Kind:     k,
 		GC:       gc,
 		Object:   obj,
 		TypeName: s.TypeName(obj),
 		Site:     s.SiteDesc(obj),
 		Root:     root,
 		Path:     BuildPath(s, ancestors, obj),
-		Message:  msg,
 	}
-	e.report(v)
+	switch k {
+	case KindDead:
+		e.stats.DeadViolations++
+	case KindUnshared:
+		e.stats.UnsharedViolations++
+		v.Message = "second path shown; the first path was traced earlier"
+	case KindOwnedBy:
+		e.stats.OwnedViolations++
+		v.Message = "owner unknown"
+		if owner := e.owneeOwner[obj]; owner != heap.Nil {
+			v.Message = fmt.Sprintf("asserted owner is %s@%#x, which does not reach the object", s.TypeName(owner), uint32(owner))
+		}
+	}
+	return v
 }
 
 // WantAllFirstMarks implements collector.Hooks: the engine needs to see

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -18,8 +17,8 @@ var _ collector.ParallelHooks = (*Engine)(nil)
 // path; cross-worker once-per-object elections (duplicate suppression) use
 // single atomic flag operations on the object's own header. Merge, on the
 // collecting goroutine after the workers join, folds the shards into the
-// engine and reports the pending violations with breadcrumb-reconstructed
-// paths.
+// engine and reports the pending violations with paths the resolver
+// reconstructs.
 //
 // It returns nil — demanding the sequential marker — when a programmatic
 // decider is installed: the decider's reaction (notably ReactForce) must
@@ -59,12 +58,11 @@ func (pc *parChecks) WantAllClaims() bool       { return pc.allClaims }
 func (pc *parChecks) Shard(i int) parmark.Shard { return pc.shards[i] }
 
 // parPending is one violation detected during the parallel trace, reported
-// at merge time. The edge context (parent, slot, root) is enough to rebuild
-// the full path from the breadcrumbs.
+// at merge time. The edge context (parent, slot, root) is enough for the
+// resolver to rebuild the full path.
 type parPending struct {
 	kind   Kind
 	obj    heap.Addr
-	typeID heap.TypeID
 	parent heap.Addr
 	slot   int32
 	root   int32
@@ -106,10 +104,7 @@ func (sh *parShard) OnEdge(parent heap.Addr, slot int, root int32, child heap.Ad
 			}
 			if s.OrFlags(child, flagLogged)&flagLogged == 0 {
 				sh.logged = append(sh.logged, child)
-				sh.pending = append(sh.pending, parPending{
-					kind: KindDead, obj: child, typeID: heap.HeaderTypeID(oldHeader),
-					parent: parent, slot: int32(slot), root: root,
-				})
+				sh.pending = append(sh.pending, parPending{kind: KindDead, obj: child, parent: parent, slot: int32(slot), root: root})
 				s.AndNotFlags(child, heap.FlagDead)
 			}
 			if sh.timed {
@@ -130,10 +125,7 @@ func (sh *parShard) OnEdge(parent heap.Addr, slot int, root int32, child heap.Ad
 			}
 			if s.OrFlags(child, flagLogged)&flagLogged == 0 {
 				sh.logged = append(sh.logged, child)
-				sh.pending = append(sh.pending, parPending{
-					kind: KindUnshared, obj: child, typeID: heap.HeaderTypeID(oldHeader),
-					parent: parent, slot: int32(slot), root: root,
-				})
+				sh.pending = append(sh.pending, parPending{kind: KindUnshared, obj: child, parent: parent, slot: int32(slot), root: root})
 			}
 			if sh.timed {
 				sh.ns[KindUnshared] += int64(time.Since(t0))
@@ -150,10 +142,7 @@ func (sh *parShard) OnEdge(parent heap.Addr, slot int, root int32, child heap.Ad
 			t0 = time.Now()
 		}
 		if s.OrFlags(child, heap.FlagOwned)&heap.FlagOwned == 0 {
-			sh.pending = append(sh.pending, parPending{
-				kind: KindOwnedBy, obj: child, typeID: heap.HeaderTypeID(oldHeader),
-				parent: parent, slot: int32(slot), root: root,
-			})
+			sh.pending = append(sh.pending, parPending{kind: KindOwnedBy, obj: child, parent: parent, slot: int32(slot), root: root})
 		}
 		if sh.timed {
 			sh.ns[KindOwnedBy] += int64(time.Since(t0))
@@ -171,10 +160,7 @@ func (sh *parShard) OnDeadForced(parent heap.Addr, slot int, root int32, child h
 	}
 	if sh.eng.space.OrFlags(child, flagLogged)&flagLogged == 0 {
 		sh.logged = append(sh.logged, child)
-		sh.pending = append(sh.pending, parPending{
-			kind: KindDead, obj: child, typeID: heap.HeaderTypeID(oldHeader),
-			parent: parent, slot: int32(slot), root: root, forced: true,
-		})
+		sh.pending = append(sh.pending, parPending{kind: KindDead, obj: child, parent: parent, slot: int32(slot), root: root, forced: true})
 	}
 	if sh.timed {
 		sh.ns[KindDead] += int64(time.Since(t0))
@@ -228,36 +214,14 @@ func (pc *parChecks) Merge(r *parmark.Resolver) {
 	}
 }
 
-// reportParallel rebuilds one pending violation's path from the breadcrumbs
-// and dispatches it through the normal report machinery (so policies,
-// reporters, and stats behave exactly as in the sequential path; ReactHalt
-// panics here, on the collecting goroutine).
+// reportParallel rebuilds one pending violation's path and dispatches it
+// through the normal report machinery (so policies, reporters, and stats
+// behave exactly as in the sequential path; ReactHalt panics here, on the
+// collecting goroutine).
 func (e *Engine) reportParallel(p *parPending, gc uint64, r *parmark.Resolver) {
 	s := e.space
 	root, ancestors := r.EdgePath(p.parent, p.root)
-	v := &Violation{
-		Kind:     p.kind,
-		GC:       gc,
-		Object:   p.obj,
-		TypeName: s.Registry().Name(p.typeID),
-		Site:     s.SiteDesc(p.obj),
-		Root:     root,
-		Path:     BuildPath(s, ancestors, p.obj),
-	}
-	switch p.kind {
-	case KindDead:
-		e.stats.DeadViolations++
-	case KindUnshared:
-		e.stats.UnsharedViolations++
-		v.Message = "second path shown; the first path was traced earlier"
-	case KindOwnedBy:
-		e.stats.OwnedViolations++
-		owner := e.owneeOwner[p.obj]
-		v.Message = "owner unknown"
-		if owner != heap.Nil {
-			v.Message = fmt.Sprintf("asserted owner is %s@%#x, which does not reach the object", s.TypeName(owner), uint32(owner))
-		}
-	}
+	v := e.edgeViolation(p.kind, gc, p.obj, root, ancestors)
 	if p.forced && len(v.Path) >= 2 && p.slot >= 0 {
 		// The severing already cleared the slot, so BuildPath's generic
 		// field scan cannot name the final hop; recover it from the

@@ -40,8 +40,10 @@ type PhaseSpan struct {
 
 // WorkerSpan is one parallel mark worker's activity in one recorded cycle.
 type WorkerSpan struct {
-	Worker int   `json:"worker"`
-	Marked int   `json:"marked"`
+	Worker int `json:"worker"`
+	Marked int `json:"marked"`
+	// Steals is the number of work packets the worker took from the shared
+	// pool.
 	Steals int   `json:"steals"`
 	DurNs  int64 `json:"dur_ns"`
 }

@@ -28,7 +28,7 @@ type RunOptions struct {
 	// in CompileAndRun).
 	FinalCollect bool
 	// Workers selects the mark-phase worker count (0 or 1 = sequential
-	// marker; n > 1 = work-stealing parallel mark engine).
+	// marker; n > 1 = parallel mark engine).
 	Workers int
 	// Provenance enables exhaustive allocation-site provenance: every `new`
 	// the guest executes is recorded against its method and source line, so

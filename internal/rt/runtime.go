@@ -64,7 +64,7 @@ type Config struct {
 	TelemetryRingSize int
 	// Workers selects the number of mark-phase workers for full collections.
 	// 0 or 1 (the default) uses the sequential reference marker; n > 1 runs
-	// the work-stealing parallel mark engine. Generational minor collections
+	// the parallel mark engine. Generational minor collections
 	// always mark sequentially (they are sticky-mark partial traces).
 	Workers int
 	// ProvenanceSample enables allocation-site provenance: 0 (the default)

@@ -66,7 +66,8 @@ type WorkerMark struct {
 	Worker int `json:"worker"`
 	// Marked is the number of objects whose mark-bit claim this worker won.
 	Marked int `json:"marked"`
-	// Steals is the number of work items this worker stole from others.
+	// Steals is the number of work packets this worker took from the
+	// shared pool.
 	Steals int `json:"steals"`
 	// DurNs is the worker goroutine's wall-clock span in nanoseconds.
 	DurNs int64 `json:"dur_ns"`

@@ -172,7 +172,7 @@ func (t *Tracer) Record(ev *Event) {
 		}
 		if len(ev.PerWorker) > 0 {
 			t.reg.Counter("gcassert_gc_mark_steals_total",
-				"Work items stolen between mark workers across all parallel marks.").Add(steals)
+				"Work packets taken from the shared pool by mark workers across all parallel marks.").Add(steals)
 		}
 	}
 	// Cost attribution and pressure, when the runtime stamps them on events.

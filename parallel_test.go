@@ -164,7 +164,7 @@ func TestParallelMarkDifferential(t *testing.T) {
 				}
 			}
 			// Parallel reports must carry complete root-to-object paths
-			// reconstructed from the breadcrumbs.
+			// reconstructed at merge time.
 			for i := range got.raw {
 				v := &got.raw[i]
 				if v.Kind == gcassert.KindInstances {
