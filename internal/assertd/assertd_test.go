@@ -260,6 +260,34 @@ func TestGuestFaultIsolation(t *testing.T) {
 	}
 }
 
+// TestRecursionBombIsolation submits a guest that recurses without a base
+// case. Each request must fail on its own (a call-depth VMError, not a host
+// stack overflow), and the same tenant, a neighbour and the server keep
+// serving.
+func TestRecursionBombIsolation(t *testing.T) {
+	_, ts := testServer(t, assertd.Config{})
+	createTenant(t, ts, "bomb", assertd.TenantOptions{HeapMiB: 4})
+	createTenant(t, ts, "ok", assertd.TenantOptions{HeapMiB: 4})
+	submit(t, ts, "bomb", `class Main { int f(int n) { return this.f(n + 1); } void main() { int x = this.f(0); } }`)
+	submit(t, ts, "ok", steadySrc)
+
+	if res := drive(t, ts, "bomb", 2, false); res.Failures != 2 ||
+		!strings.Contains(res.LastError, "call depth") {
+		t.Errorf("bomb drive: %+v", res)
+	}
+	if res := drive(t, ts, "ok", 3, true); res.Failures != 0 {
+		t.Errorf("neighbour after the bomb: %+v", res)
+	}
+	submit(t, ts, "bomb", steadySrc)
+	if res := drive(t, ts, "bomb", 2, true); res.Failures != 0 {
+		t.Errorf("bombed tenant after resubmitting a sane program: %+v", res)
+	}
+	if st := tenantStats(t, ts, "bomb"); st.Requests != 4 || st.Failures != 2 {
+		t.Errorf("bomb tenant stats: requests %d failures %d", st.Requests, st.Failures)
+	}
+	createTenant(t, ts, "late", assertd.TenantOptions{HeapMiB: 4})
+}
+
 func TestHaltReactionFailsRequestOnly(t *testing.T) {
 	_, ts := testServer(t, assertd.Config{})
 	createTenant(t, ts, "halting", assertd.TenantOptions{

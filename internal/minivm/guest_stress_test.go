@@ -1,6 +1,7 @@
 package minivm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -282,5 +283,26 @@ func TestGuestRandomArithmetic(t *testing.T) {
 		if got := strings.TrimSpace(out.String()); got != fmt.Sprint(want) {
 			t.Fatalf("trial %d: %s = %s, want %d", trial, expr, got, want)
 		}
+	}
+}
+
+// recursionBomb recurses without a base case: without a call-depth bound
+// it overflows the host's Go stack, which no recover can catch.
+const recursionBomb = `class Main { int f(int n) { return this.f(n + 1); } void main() { int x = this.f(0); } }`
+
+// TestGuestRecursionBombFails checks that unbounded guest recursion fails as
+// a VMError at MaxCallDepth, leaves the frame stack balanced, and leaves the
+// image usable.
+func TestGuestRecursionBombFails(t *testing.T) {
+	res, err := CompileAndRun(recursionBomb, RunOptions{HeapBytes: 4 << 20})
+	var ve *VMError
+	if !errors.As(err, &ve) || !strings.Contains(ve.Msg, "call depth") {
+		t.Fatalf("err = %v, want a call-depth VMError", err)
+	}
+	if d := res.Image.Thread().Depth(); d != 0 {
+		t.Fatalf("frame stack unbalanced after the failure: depth %d", d)
+	}
+	if err := res.Image.Run(); !errors.As(err, &ve) {
+		t.Fatalf("second run: err = %v, want the same VMError", err)
 	}
 }

@@ -20,6 +20,12 @@ func (e *VMError) Error() string {
 	return fmt.Sprintf("minivm: %s at %s (pc %d in %s)", e.Msg, e.Pos, e.PC, e.Method)
 }
 
+// MaxCallDepth bounds guest call nesting. Each guest call is one Go call of
+// invoke, and a Go stack overflow is a fatal error no recover can catch, so
+// unbounded guest recursion would take down the whole host process; past
+// this depth the call fails as a *VMError instead.
+const MaxCallDepth = 10_000
+
 // Image is a compiled Unit loaded into a managed runtime: every class is
 // registered as a heap type, and execution state (interpreter frames) is
 // visible to the collector as GC roots.
@@ -148,6 +154,9 @@ func (im *Image) fail(m *MethodInfo, pc int, format string, args ...interface{})
 // as raw uint64 (references as their Ref bits). It returns the raw return
 // value (meaningful only for non-void methods).
 func (im *Image) invoke(m *MethodInfo, args []uint64) uint64 {
+	if im.th.Depth() > MaxCallDepth {
+		im.fail(m, 0, "call depth limit exceeded (%d frames)", MaxCallDepth)
+	}
 	// One rt frame backs both locals and the operand stack, so every live
 	// reference in the activation is a GC root — the interpreter's analogue
 	// of a JVM's stack maps.

@@ -95,6 +95,9 @@ type Registry struct {
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry { return &Registry{families: make(map[string]*family)} }
 
+// labelEscaper escapes a label value per the Prometheus text format.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+
 func renderLabels(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
@@ -107,8 +110,7 @@ func renderLabels(labels []Label) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		v := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`).Replace(l.Value)
-		fmt.Fprintf(&b, `%s="%s"`, l.Name, v)
+		fmt.Fprintf(&b, `%s="%s"`, l.Name, labelEscaper.Replace(l.Value))
 	}
 	b.WriteByte('}')
 	return b.String()
