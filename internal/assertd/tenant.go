@@ -423,29 +423,18 @@ type ViolationFrame struct {
 }
 
 // onGCEvent accumulates per-kind assertion cost from each collection's
-// event and feeds the SLO pause/cost objectives. Runs on the service loop
-// during the stop-the-world window.
+// event and feeds the SLO pause/cost objectives. Cost rows come one per kind
+// in kind order, so row k is kind k. Runs on the service loop during the
+// stop-the-world window.
 func (t *Tenant) onGCEvent(ev *telemetry.Event) {
 	var assertNs int64
-	for _, c := range ev.Costs {
+	for k, c := range ev.Costs {
 		assertNs += c.Ns
-		for k := gcassert.Kind(0); k < core.NumKinds; k++ {
-			if k.String() == c.Kind {
-				t.costChecks[k] += c.Checks
-				t.costNs[k] += c.Ns
-				break
-			}
-		}
+		t.costChecks[k] += c.Checks
+		t.costNs[k] += c.Ns
 	}
 	t.sloRecordPause(ev.TotalNs, assertNs)
 	t.traceTapEvent(ev)
-}
-
-// AssertCostStat is one kind's cumulative attributed GC-time cost.
-type AssertCostStat struct {
-	Kind   string `json:"kind"`
-	Checks uint64 `json:"checks"`
-	Ns     int64  `json:"ns"`
 }
 
 // LatencyNs is a latency tail summary in nanoseconds.
@@ -473,7 +462,8 @@ type TenantStats struct {
 	Violations uint64 `json:"violations"`
 
 	ViolationsByKind map[string]uint64 `json:"violations_by_kind,omitempty"`
-	AssertCosts      []AssertCostStat  `json:"assert_costs,omitempty"`
+	// AssertCosts is each kind's cumulative attributed GC-time cost.
+	AssertCosts []gcassert.AssertCost `json:"assert_costs,omitempty"`
 
 	Latency LatencyNs `json:"latency"`
 
@@ -537,7 +527,7 @@ func (t *Tenant) refreshSnapshot(g *guest) {
 			s.ViolationsByKind[k.String()] = n
 		}
 		if t.costChecks[k] > 0 || t.costNs[k] > 0 {
-			s.AssertCosts = append(s.AssertCosts, AssertCostStat{
+			s.AssertCosts = append(s.AssertCosts, gcassert.AssertCost{
 				Kind: k.String(), Checks: t.costChecks[k], Ns: t.costNs[k],
 			})
 		}

@@ -148,7 +148,7 @@ func measureAttribution(w Workload, opt Options) (AssertCostRun, AllocRateRun) {
 		}
 	}
 	for _, kind := range order {
-		p := CostKindPoint{Kind: kind, Checks: checks[kind], Ns: ns[kind]}
+		p := CostKindPoint{AssertCost: gcassert.AssertCost{Kind: kind, Checks: checks[kind], Ns: ns[kind]}}
 		if cost.TotalGC > 0 {
 			p.PctGC = 100 * float64(p.Ns) / float64(cost.TotalGC)
 		}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 
+	"gcassert"
 	"gcassert/internal/version"
 )
 
@@ -104,12 +105,11 @@ type AssertCostRun struct {
 	Kinds   []CostKindPoint `json:"kinds"`
 }
 
-// CostKindPoint is one assertion kind's cumulative cost.
+// CostKindPoint is one assertion kind's cumulative cost and its share of
+// the run's GC time.
 type CostKindPoint struct {
-	Kind   string  `json:"kind"`
-	Checks uint64  `json:"checks"`
-	Ns     int64   `json:"ns"`
-	PctGC  float64 `json:"pct_of_gc"`
+	gcassert.AssertCost
+	PctGC float64 `json:"pct_of_gc"`
 }
 
 // AllocRateRun is the mutator-pressure profile of the same run.

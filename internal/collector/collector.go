@@ -94,12 +94,9 @@ type Collector struct {
 	space *heap.Space
 	roots RootScanner
 
-	// hooks is non-nil only when infrastructure mode is enabled. costHooks
-	// caches the CostHooks type assertion so Collect pays one nil-check for
-	// cost harvesting instead of an interface assertion per cycle.
-	hooks     Hooks
-	costHooks CostHooks
-	infra     bool
+	// hooks is non-nil only when infrastructure mode is enabled.
+	hooks Hooks
+	infra bool
 
 	// workers is the mark-phase worker count (1 = sequential marker); par
 	// is the lazily created parallel engine, parRoots its reusable root
@@ -138,6 +135,11 @@ type Collector struct {
 	// before the sweep. The generational mode uses it to prune the assertion
 	// engine's weak tables on minor collections, where hooks do not run.
 	PreSweep func()
+	// Accounting, if non-nil, stamps every collection's per-kind rows (Kinds
+	// and AssertCost). New installs hooks that implement it; the runtime
+	// installs the engine on generational minor collectors, which run no
+	// hooks.
+	Accounting Accounting
 	// ExplainTrigger, if non-nil, is consulted at the top of every collection
 	// to stamp the record with the mutator-side story behind the Reason
 	// (occupancy, allocation rate, dominant thread). The runtime installs it;
@@ -147,6 +149,9 @@ type Collector struct {
 	gcCount uint64
 	stats   Stats
 	last    Collection
+	// phases backs Collection.Phases, so stamping phase spans allocates
+	// nothing.
+	phases [3]PhaseSpan
 
 	// requestTag, when non-empty, stamps every collection record with the
 	// request currently executing (Collection.Request). Set and cleared by
@@ -162,9 +167,7 @@ type Collector struct {
 // before any assertions are added.
 func New(space *heap.Space, roots RootScanner, hooks Hooks, infra bool) *Collector {
 	c := &Collector{space: space, roots: roots, hooks: hooks, infra: infra, workers: 1}
-	if ch, ok := hooks.(CostHooks); ok {
-		c.costHooks = ch
-	}
+	c.Accounting, _ = hooks.(Accounting)
 	return c
 }
 
@@ -204,31 +207,29 @@ func (c *Collector) SetRequestTag(tag string) { c.requestTag = tag }
 // ReasonForced).
 func (c *Collector) Collect(reason Reason) Collection {
 	start := time.Now()
-	col := Collection{Seq: c.gcCount, Reason: reason, Request: c.requestTag}
+	col := Collection{
+		Seq: c.gcCount, Reason: reason, Request: c.requestTag,
+		StartUnixNs: start.UnixNano(), Phases: c.phases[:0],
+	}
 	if c.ExplainTrigger != nil {
 		col.Trigger = c.ExplainTrigger(reason)
+	}
+	if c.Accounting != nil {
+		c.Accounting.BeginCycle()
 	}
 	obs := c.Observer
 	if obs != nil {
 		obs.GCBegin(c.gcCount, reason)
 	}
 
-	if c.infra && c.hooks != nil {
-		if obs != nil {
-			obs.PhaseBegin(PhaseOwnership)
-		}
-		t0 := time.Now()
+	hooksRan := c.infra && c.hooks != nil
+	if hooksRan {
+		t0 := c.beginPhase(PhaseOwnership)
 		c.hooks.PreMark(c)
-		col.OwnershipTime = time.Since(t0)
-		if obs != nil {
-			obs.PhaseEnd(PhaseOwnership, col.OwnershipTime)
-		}
+		col.OwnershipTime = c.endPhase(&col, PhaseOwnership, t0)
 	}
 
-	if obs != nil {
-		obs.PhaseBegin(PhaseMark)
-	}
-	t0 := time.Now()
+	t0 := c.beginPhase(PhaseMark)
 	parallel := false
 	if c.workers > 1 {
 		if c.KeepMarks {
@@ -245,12 +246,9 @@ func (c *Collector) Collect(reason Reason) Collection {
 		}
 		col.Workers = 1
 	}
-	col.MarkTime = time.Since(t0)
-	if obs != nil {
-		obs.PhaseEnd(PhaseMark, col.MarkTime)
-	}
+	col.MarkTime = c.endPhase(&col, PhaseMark, t0)
 
-	if c.infra && c.hooks != nil {
+	if hooksRan {
 		c.hooks.PostMark(c)
 	}
 
@@ -258,22 +256,14 @@ func (c *Collector) Collect(reason Reason) Collection {
 		c.PreSweep()
 	}
 
-	if obs != nil {
-		obs.PhaseBegin(PhaseSweep)
-	}
-	t0 = time.Now()
+	t0 = c.beginPhase(PhaseSweep)
 	sw := c.space.Sweep(c.KeepMarks)
-	col.SweepTime = time.Since(t0)
-	if obs != nil {
-		obs.PhaseEnd(PhaseSweep, col.SweepTime)
-	}
+	col.SweepTime = c.endPhase(&col, PhaseSweep, t0)
 	col.ObjectsFreed = sw.ObjectsFreed
 	col.ObjectsLive = sw.ObjectsLive
 	col.WordsFreed = sw.WordsFreed
-	// Cost rows are harvested after the sweep: dead-verification counts
-	// accrue in the engine's free hook while the sweep runs.
-	if c.infra && c.costHooks != nil {
-		col.AssertCost = c.costHooks.CollectionCosts()
+	if c.Accounting != nil {
+		c.Accounting.EndCycle(&col, hooksRan)
 	}
 	col.TotalTime = time.Since(start)
 
@@ -284,6 +274,25 @@ func (c *Collector) Collect(reason Reason) Collection {
 		obs.GCEnd(&col)
 	}
 	return col
+}
+
+// beginPhase notifies the observer and starts the phase clock.
+func (c *Collector) beginPhase(p Phase) time.Time {
+	if c.Observer != nil {
+		c.Observer.PhaseBegin(p)
+	}
+	return time.Now()
+}
+
+// endPhase stops the phase clock, stamps the phase span on col and notifies
+// the observer. It returns the phase duration.
+func (c *Collector) endPhase(col *Collection, p Phase, t0 time.Time) time.Duration {
+	d := time.Since(t0)
+	col.Phases = append(col.Phases, PhaseSpan{Phase: p.String(), StartUnixNs: t0.UnixNano(), DurNs: int64(d)})
+	if c.Observer != nil {
+		c.Observer.PhaseEnd(p, d)
+	}
+	return d
 }
 
 // Last returns the record of the most recent collection.

@@ -98,3 +98,17 @@ func (t TeeObserver) GCEnd(col *Collection) {
 		o.GCEnd(col)
 	}
 }
+
+// GCEndOnly supplies no-op GCBegin, PhaseBegin and PhaseEnd methods.
+// Observers that only project the completed record (which already carries
+// its phase spans) embed it and define GCEnd.
+type GCEndOnly struct{}
+
+// GCBegin implements Observer.
+func (GCEndOnly) GCBegin(uint64, Reason) {}
+
+// PhaseBegin implements Observer.
+func (GCEndOnly) PhaseBegin(Phase) {}
+
+// PhaseEnd implements Observer.
+func (GCEndOnly) PhaseEnd(Phase, time.Duration) {}

@@ -78,15 +78,18 @@ type Checks interface {
 	Merge(r *Resolver)
 }
 
-// WorkerStats is one worker's activity during a single mark.
+// WorkerStats is one worker's activity during a single mark. The JSON tags
+// are the per-worker row of the telemetry event stream and flight bundles.
 type WorkerStats struct {
+	// Worker is the worker index.
+	Worker int `json:"worker"`
 	// Marked is the number of objects whose claim this worker won.
-	Marked int
+	Marked int `json:"marked"`
 	// Steals is the number of work packets this worker took from the
 	// shared pool.
-	Steals int
+	Steals int `json:"steals"`
 	// DurNs is the worker's wall-clock span, spawn to exit.
-	DurNs int64
+	DurNs int64 `json:"dur_ns"`
 }
 
 // Result summarizes one parallel mark.
@@ -199,7 +202,7 @@ func (e *Engine) Mark(roots []Root, checks Checks, onMark func(heap.Addr)) Resul
 	res := Result{RootsScanned: len(roots), PerWorker: make([]WorkerStats, len(e.workers))}
 	for i, w := range e.workers {
 		res.ObjectsMarked += w.marked
-		res.PerWorker[i] = WorkerStats{Marked: w.marked, Steals: w.steals, DurNs: w.dur.Nanoseconds()}
+		res.PerWorker[i] = WorkerStats{Worker: i, Marked: w.marked, Steals: w.steals, DurNs: w.dur.Nanoseconds()}
 	}
 	if onMark != nil {
 		for _, w := range e.workers {

@@ -10,6 +10,28 @@ import (
 // WorkerStats is one parallel mark worker's activity in a collection.
 type WorkerStats = parmark.WorkerStats
 
+// PhaseSpan is one timed phase of a collection, with its exact wall-clock
+// window. The duration is the collector's own measurement, so per-phase sums
+// over a trace equal the cumulative Stats. The JSON tags are the phase row of
+// the telemetry event stream and flight bundles.
+type PhaseSpan struct {
+	// Phase is the phase label: "ownership", "mark" or "sweep".
+	Phase string `json:"phase"`
+	// StartUnixNs is the phase's wall-clock start, Unix nanoseconds.
+	StartUnixNs int64 `json:"start_unix_ns"`
+	// DurNs is the phase duration in nanoseconds.
+	DurNs int64 `json:"dur_ns"`
+}
+
+// KindCount is one assertion kind's activity within a collection: checks
+// performed, in the kind's natural unit, and violations reported.
+type KindCount struct {
+	// Kind is the assertion kind's stable label (e.g. "assert-dead").
+	Kind       string `json:"kind"`
+	Checks     uint64 `json:"checks"`
+	Violations uint64 `json:"violations"`
+}
+
 // AssertCost attributes one assertion kind's share of a collection: how many
 // checks the cycle performed for the kind and how long the kind's rare-path
 // handling took. Work counts are exact (they are deltas of the engine's
@@ -20,27 +42,29 @@ type AssertCost struct {
 	// Kind is the assertion kind's stable label ("assert-dead",
 	// "assert-instances", "assert-unshared", "assert-ownedby",
 	// "improper-ownership").
-	Kind string
+	Kind string `json:"kind"`
 	// Checks is the number of checks performed for the kind this cycle, in
 	// the kind's natural unit (dead results, instance-count increments,
 	// unshared re-encounters, ownees checked).
-	Checks uint64
+	Checks uint64 `json:"checks"`
 	// Ns is the time spent in the kind's handling this cycle, in
 	// nanoseconds. Zero for kinds whose work is folded into the untimed
 	// per-edge fast path.
-	Ns int64
+	Ns int64 `json:"ns"`
 }
 
-// CostHooks is an optional extension of Hooks implemented by engines that
-// attribute per-assertion-kind cost. The collector caches the type assertion
-// at construction, so a cycle with attribution disabled pays one nil-check.
-type CostHooks interface {
-	Hooks
-	// CollectionCosts returns the per-kind cost rows for the collection that
-	// just finished sweeping (dead-verification counts accrue during sweep),
-	// or nil when attribution is disabled. The returned slice is owned by the
-	// caller.
-	CollectionCosts() []AssertCost
+// Accounting is the assertion engine's per-collection ledger. The collector
+// calls BeginCycle at the top of every collection and EndCycle after the
+// sweep (dead-verification counts accrue in the engine's free hook while the
+// sweep runs), so each record's per-kind rows diff one snapshot. Generational
+// minor collections run no hooks but still call both: their sweep verifies
+// asserted-dead objects too.
+type Accounting interface {
+	// BeginCycle snapshots the counters the cycle's rows are diffed against.
+	BeginCycle()
+	// EndCycle stamps col.Kinds and, when hooksRan and cost attribution is
+	// on, col.AssertCost.
+	EndCycle(col *Collection, hooksRan bool)
 }
 
 // Trigger explains why a collection ran, for operators: the mechanical
@@ -73,6 +97,12 @@ type Collection struct {
 	// Reason records why the collection ran (ReasonAllocFailure,
 	// ReasonForced, ...).
 	Reason Reason
+	// StartUnixNs is the pause's wall-clock start, Unix nanoseconds.
+	StartUnixNs int64
+	// Phases holds the timed phases in cycle order (ownership only when it
+	// ran). It is backed by a collector-owned buffer that the next
+	// collection overwrites: copy it to keep it.
+	Phases []PhaseSpan
 	// OwnershipTime is the time spent in the assertion engine's ownership
 	// pre-phase (zero in Base mode or with no ownership assertions).
 	OwnershipTime time.Duration
@@ -102,8 +132,13 @@ type Collection struct {
 	// constants). Empty when the cycle marked in parallel or when only one
 	// worker was configured to begin with.
 	Fallback string
-	// AssertCost attributes the cycle's assertion work per kind; nil unless
-	// the engine has cost attribution enabled (Options.CostAttribution).
+	// Kinds is per-assertion-kind activity, one row per kind in kind order;
+	// nil without an assertion engine. Like Phases it is backed by a buffer
+	// the next collection overwrites.
+	Kinds []KindCount
+	// AssertCost attributes the cycle's assertion work per kind, one row per
+	// kind in kind order; nil unless the engine has cost attribution enabled
+	// (Options.CostAttribution) and the cycle ran the assertion hooks.
 	AssertCost []AssertCost
 	// Trigger explains why the collection ran; zero unless the runtime
 	// installed a trigger explainer (Collector.ExplainTrigger).

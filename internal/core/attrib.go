@@ -23,10 +23,6 @@ import (
 
 // costState is the per-collection attribution scratch, reset in PreMark.
 type costState struct {
-	// statsAt is the engine-stats snapshot taken at PreMark; CollectionCosts
-	// diffs against it after the sweep (dead verification accrues in the
-	// free hook while the sweep runs).
-	statsAt Stats
 	// ns accumulates per-kind slow-path time for the current cycle.
 	ns [NumKinds]int64
 }
@@ -43,29 +39,33 @@ func (e *Engine) EnableCostAttribution() {
 // CostAttributionEnabled reports whether attribution is on.
 func (e *Engine) CostAttributionEnabled() bool { return e.costs != nil }
 
-var _ collector.CostHooks = (*Engine)(nil)
+var _ collector.Accounting = (*Engine)(nil)
 
-// CollectionCosts implements collector.CostHooks: the per-kind cost rows of
-// the collection that just finished sweeping, or nil when attribution is
-// disabled. The collector stamps the rows onto the Collection record.
-func (e *Engine) CollectionCosts() []collector.AssertCost {
-	cs := e.costs
-	if cs == nil {
-		return nil
-	}
-	checks := CheckDeltas(cs.statsAt, e.stats)
-	names := KindNames()
-	out := make([]collector.AssertCost, NumKinds)
-	for k := 0; k < NumKinds; k++ {
-		out[k] = collector.AssertCost{Kind: names[k], Checks: checks[k], Ns: cs.ns[k]}
-	}
-	return out
-}
+// BeginCycle implements collector.Accounting: it snapshots the engine's
+// counters, the one baseline both the cycle's kind rows and its cost rows
+// are diffed against.
+func (e *Engine) BeginCycle() { e.cycleStart = e.stats }
 
-// costReset starts a new cycle's attribution window (called from PreMark).
-func (cs *costState) reset(now Stats) {
-	cs.statsAt = now
-	cs.ns = [NumKinds]int64{}
+// EndCycle implements collector.Accounting: it stamps the cycle's per-kind
+// activity into an engine-owned buffer (so the stamp allocates nothing) and,
+// on cycles that ran the hooks with attribution on, fresh cost rows.
+func (e *Engine) EndCycle(col *collector.Collection, hooksRan bool) {
+	before := &e.cycleStart
+	checks := checkDeltas(before, &e.stats)
+	for k := range e.kinds {
+		e.kinds[k] = collector.KindCount{
+			Kind:       Kind(k).String(),
+			Checks:     checks[k],
+			Violations: e.stats.ViolationsByKind[k] - before.ViolationsByKind[k],
+		}
+	}
+	col.Kinds = e.kinds[:]
+	if cs := e.costs; cs != nil && hooksRan {
+		col.AssertCost = make([]collector.AssertCost, NumKinds)
+		for k := range col.AssertCost {
+			col.AssertCost[k] = collector.AssertCost{Kind: Kind(k).String(), Checks: checks[k], Ns: cs.ns[k]}
+		}
+	}
 }
 
 // addSince folds one timed slow-path block into a kind's bucket.
@@ -73,16 +73,14 @@ func (cs *costState) addSince(k Kind, t0 time.Time) {
 	cs.ns[k] += int64(time.Since(t0))
 }
 
-// CheckDeltas maps the engine-stats delta between two snapshots to per-kind
+// checkDeltas maps the engine-stats delta between two snapshots to per-kind
 // check counts, each in its kind's natural unit: dead = asserted-dead
 // objects resolved (reclaimed or caught reachable), instances = tracked-type
 // limit comparisons, unshared = re-encounters of unshared-flagged objects,
 // ownedby = ownee membership checks in the ownership phase.
 // Improper-ownership has no separate check step (it is detected during
-// ownedby checking), so its row stays zero. Shared by telemetry events, the
-// flight recorder, and CollectionCosts so the unit definitions can never
-// drift apart.
-func CheckDeltas(before, after Stats) [NumKinds]uint64 {
+// ownedby checking), so its row stays zero.
+func checkDeltas(before, after *Stats) [NumKinds]uint64 {
 	return [NumKinds]uint64{
 		KindDead: (after.DeadVerified + after.DeadViolations) -
 			(before.DeadVerified + before.DeadViolations),

@@ -27,6 +27,7 @@ import (
 // instead. ExportLatest may be called from any goroutine (the census ring is
 // mutex-guarded).
 type Exporter struct {
+	collector.GCEndOnly
 	url         string
 	every       int
 	queueLimit  int
@@ -127,15 +128,6 @@ func (e *Exporter) Identity() version.Identity { return e.identity }
 func (e *Exporter) NoteViolation() { e.violLatch.Store(true) }
 
 var _ collector.Observer = (*Exporter)(nil)
-
-// GCBegin implements collector.Observer (no-op).
-func (e *Exporter) GCBegin(seq uint64, reason collector.Reason) {}
-
-// PhaseBegin implements collector.Observer (no-op).
-func (e *Exporter) PhaseBegin(p collector.Phase) {}
-
-// PhaseEnd implements collector.Observer (no-op).
-func (e *Exporter) PhaseEnd(p collector.Phase, d time.Duration) {}
 
 // GCEnd implements collector.Observer: decide whether this cycle exports,
 // seal the envelopes, and hand them to the sender.

@@ -27,41 +27,9 @@ import (
 	"time"
 
 	"gcassert/internal/collector"
-	"gcassert/internal/core"
 	"gcassert/internal/heapdump"
 	"gcassert/internal/version"
 )
-
-// PhaseSpan is one GC phase of one recorded cycle.
-type PhaseSpan struct {
-	Phase string `json:"phase"`
-	DurNs int64  `json:"dur_ns"`
-}
-
-// WorkerSpan is one parallel mark worker's activity in one recorded cycle.
-type WorkerSpan struct {
-	Worker int `json:"worker"`
-	Marked int `json:"marked"`
-	// Steals is the number of work packets the worker took from the shared
-	// pool.
-	Steals int   `json:"steals"`
-	DurNs  int64 `json:"dur_ns"`
-}
-
-// KindDelta is one assertion kind's activity during one recorded cycle.
-type KindDelta struct {
-	Kind       string `json:"kind"`
-	Checks     uint64 `json:"checks"`
-	Violations uint64 `json:"violations"`
-}
-
-// CostRow is one assertion kind's attributed cost during one recorded
-// cycle (present only on runtimes with cost attribution enabled).
-type CostRow struct {
-	Kind   string `json:"kind"`
-	Checks uint64 `json:"checks"`
-	Ns     int64  `json:"ns"`
-}
 
 // TypeDelta is one type's live-census change across one recorded cycle,
 // relative to the previous recorded full collection. Negative values mean
@@ -72,29 +40,33 @@ type TypeDelta struct {
 	Words    int64  `json:"words"`
 }
 
-// Cycle is one recorded collection.
+// Cycle is one recorded collection: the bundle-schema projection of a
+// collector.Collection. Kinds keeps only the kinds with activity. Phase rows
+// share the event stream's row type, so they carry start_unix_ns too: an
+// additive key that bundles written without it read as 0, and that fleet
+// content hashes ignore as volatile.
 type Cycle struct {
-	GC            uint64       `json:"gc"`
-	Reason        string       `json:"reason"`
-	StartUnixNs   int64        `json:"start_unix_ns"`
-	TotalNs       int64        `json:"total_ns"`
-	Phases        []PhaseSpan  `json:"phases,omitempty"`
-	RootsScanned  int          `json:"roots_scanned"`
-	ObjectsMarked int          `json:"objects_marked"`
-	ObjectsFreed  int          `json:"objects_freed"`
-	ObjectsLive   int          `json:"objects_live"`
-	WordsFreed    int          `json:"words_freed"`
-	Workers       int          `json:"workers"`
-	Fallback      string       `json:"fallback,omitempty"`
-	PerWorker     []WorkerSpan `json:"per_worker,omitempty"`
-	Kinds         []KindDelta  `json:"kinds,omitempty"`
-	CensusDelta   []TypeDelta  `json:"census_delta,omitempty"`
+	GC            uint64                  `json:"gc"`
+	Reason        string                  `json:"reason"`
+	StartUnixNs   int64                   `json:"start_unix_ns"`
+	TotalNs       int64                   `json:"total_ns"`
+	Phases        []collector.PhaseSpan   `json:"phases,omitempty"`
+	RootsScanned  int                     `json:"roots_scanned"`
+	ObjectsMarked int                     `json:"objects_marked"`
+	ObjectsFreed  int                     `json:"objects_freed"`
+	ObjectsLive   int                     `json:"objects_live"`
+	WordsFreed    int                     `json:"words_freed"`
+	Workers       int                     `json:"workers"`
+	Fallback      string                  `json:"fallback,omitempty"`
+	PerWorker     []collector.WorkerStats `json:"per_worker,omitempty"`
+	Kinds         []collector.KindCount   `json:"kinds,omitempty"`
+	CensusDelta   []TypeDelta             `json:"census_delta,omitempty"`
 	// Trigger explanation and per-kind cost attribution, stamped when the
 	// runtime runs with CostAttribution. Additive omitempty fields: schema
 	// version 1 bundles without them parse unchanged.
-	Trigger      string    `json:"trigger,omitempty"`
-	OccupancyPct float64   `json:"occupancy_pct,omitempty"`
-	AssertCost   []CostRow `json:"assert_cost,omitempty"`
+	Trigger      string                 `json:"trigger,omitempty"`
+	OccupancyPct float64                `json:"occupancy_pct,omitempty"`
+	AssertCost   []collector.AssertCost `json:"assert_cost,omitempty"`
 }
 
 // ViolationRecord is one assertion violation as the recorder retains it.
@@ -146,26 +118,25 @@ type Config struct {
 }
 
 // Recorder is the flight recorder. It implements collector.Observer for the
-// cycle ring; violations arrive through RecordViolation (the runtime tees
-// its reporter chain into it).
+// cycle ring, projecting each completed collection record at GCEnd;
+// violations arrive through RecordViolation (the runtime tees its reporter
+// chain into it).
 type Recorder struct {
+	collector.GCEndOnly
+
 	// identity, when set, stamps captured bundles (schema v2).
 	identity *version.Identity
 
 	// Sources, installed once at wiring time (before the first collection).
-	statsFn   func() core.Stats
 	censusFn  func() (heapdump.Snapshot, bool)
 	profileFn func() []SiteSample
 	dumpFn    func() (io.WriteCloser, error)
 
-	// Per-cycle accumulation; touched only inside stop-the-world collections
-	// on the runtime's goroutine.
-	gcStart      time.Time
-	phases       []PhaseSpan
-	engineBefore core.Stats
-	prevTypes    map[string]prevCensus
-	dumpedGC     uint64
-	dumpedAny    bool
+	// Census baseline and dump latch; touched only inside stop-the-world
+	// collections on the runtime's goroutine.
+	prevTypes map[string]prevCensus
+	dumpedGC  uint64
+	dumpedAny bool
 
 	// dumpReq is the deferred-dump latch: RequestDump (any goroutine, e.g. a
 	// signal handler) sets it, and GCEnd honors it once the heap is
@@ -208,10 +179,6 @@ func New(cfg Config) *Recorder {
 // Install at wiring time, before any bundle is captured.
 func (r *Recorder) SetIdentity(id version.Identity) { r.identity = &id }
 
-// SetStatsSource installs the assertion-engine stats source used to compute
-// per-kind activity deltas. Install before the first collection.
-func (r *Recorder) SetStatsSource(fn func() core.Stats) { r.statsFn = fn }
-
 // SetCensusSource installs the census source used to compute per-type
 // census deltas; the source must already hold the current cycle's snapshot
 // when the recorder's GCEnd runs (the runtime orders its observers so).
@@ -231,33 +198,16 @@ func (r *Recorder) SetProfileSource(fn func() []SiteSample) { r.profileFn = fn }
 // propagated into the collection.
 func (r *Recorder) SetDumpSink(fn func() (io.WriteCloser, error)) { r.dumpFn = fn }
 
-// GCBegin implements collector.Observer.
-func (r *Recorder) GCBegin(seq uint64, reason collector.Reason) {
-	r.gcStart = time.Now()
-	r.phases = make([]PhaseSpan, 0, 3)
-	if r.statsFn != nil {
-		r.engineBefore = r.statsFn()
-	}
-}
-
-// PhaseBegin implements collector.Observer (no-op; PhaseEnd carries the
-// measured duration).
-func (r *Recorder) PhaseBegin(p collector.Phase) {}
-
-// PhaseEnd implements collector.Observer.
-func (r *Recorder) PhaseEnd(p collector.Phase, d time.Duration) {
-	r.phases = append(r.phases, PhaseSpan{Phase: p.String(), DurNs: int64(d)})
-}
-
 // GCEnd implements collector.Observer: fold the completed collection into
-// the cycle ring.
+// the cycle ring. Phases and Kinds live in buffers the collector reuses, so
+// the cycle takes copies.
 func (r *Recorder) GCEnd(col *collector.Collection) {
 	cy := Cycle{
 		GC:            col.Seq,
 		Reason:        string(col.Reason),
-		StartUnixNs:   r.gcStart.UnixNano(),
+		StartUnixNs:   col.StartUnixNs,
 		TotalNs:       int64(col.TotalTime),
-		Phases:        r.phases,
+		Phases:        append([]collector.PhaseSpan(nil), col.Phases...),
 		RootsScanned:  col.RootsScanned,
 		ObjectsMarked: col.ObjectsMarked,
 		ObjectsFreed:  col.ObjectsFreed,
@@ -265,26 +215,17 @@ func (r *Recorder) GCEnd(col *collector.Collection) {
 		WordsFreed:    col.WordsFreed,
 		Workers:       col.Workers,
 		Fallback:      col.Fallback,
+		PerWorker:     col.PerWorker,
+		AssertCost:    col.AssertCost,
 	}
-	r.phases = nil
-	if len(col.PerWorker) > 0 {
-		cy.PerWorker = make([]WorkerSpan, len(col.PerWorker))
-		for i, ws := range col.PerWorker {
-			cy.PerWorker[i] = WorkerSpan{Worker: i, Marked: ws.Marked, Steals: ws.Steals, DurNs: ws.DurNs}
+	for _, k := range col.Kinds {
+		if k.Checks != 0 || k.Violations != 0 {
+			cy.Kinds = append(cy.Kinds, k)
 		}
-	}
-	if r.statsFn != nil {
-		cy.Kinds = kindDeltas(r.engineBefore, r.statsFn())
 	}
 	if col.Trigger.Why != "" {
 		cy.Trigger = col.Trigger.Why
 		cy.OccupancyPct = col.Trigger.OccupancyPct
-	}
-	if len(col.AssertCost) > 0 {
-		cy.AssertCost = make([]CostRow, len(col.AssertCost))
-		for i, c := range col.AssertCost {
-			cy.AssertCost[i] = CostRow{Kind: c.Kind, Checks: c.Checks, Ns: c.Ns}
-		}
 	}
 	if r.censusFn != nil {
 		if snap, ok := r.censusFn(); ok && snap.GC == col.Seq {
@@ -359,26 +300,6 @@ func sortDeltas(d []TypeDelta) {
 			}
 		}
 	}
-}
-
-// kindDeltas converts an engine-stats delta into per-kind activity. The
-// natural-unit mapping lives in core.CheckDeltas, shared with the telemetry
-// layer and cost attribution so the unit definitions cannot drift.
-func kindDeltas(before, after core.Stats) []KindDelta {
-	checks := core.CheckDeltas(before, after)
-	names := core.KindNames()
-	out := make([]KindDelta, 0, core.NumKinds)
-	for k := 0; k < core.NumKinds; k++ {
-		d := KindDelta{
-			Kind:       names[k],
-			Checks:     checks[k],
-			Violations: after.ViolationsByKind[k] - before.ViolationsByKind[k],
-		}
-		if d.Checks != 0 || d.Violations != 0 {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // RecordViolation appends a violation to the ring and, when a dump sink is

@@ -9,17 +9,14 @@ import (
 	"time"
 
 	"gcassert/internal/collector"
-	"gcassert/internal/core"
 	"gcassert/internal/heapdump"
 )
 
 // playCycle drives the recorder through one synthetic collection.
 func playCycle(r *Recorder, seq uint64, live int) {
-	r.GCBegin(seq, collector.ReasonForced)
-	r.PhaseBegin(collector.PhaseMark)
-	r.PhaseEnd(collector.PhaseMark, 5*time.Millisecond)
 	r.GCEnd(&collector.Collection{
 		Seq: seq, Reason: collector.ReasonForced,
+		Phases:    []collector.PhaseSpan{{Phase: "mark", DurNs: int64(5 * time.Millisecond)}},
 		TotalTime: 6 * time.Millisecond, ObjectsLive: live, Workers: 1,
 	})
 }
@@ -53,52 +50,47 @@ func TestRecorderRingBounds(t *testing.T) {
 
 func TestRecorderCycleDetail(t *testing.T) {
 	r := New(Config{})
-	stats := core.Stats{}
-	r.SetStatsSource(func() core.Stats { return stats })
 	snap := heapdump.Snapshot{}
 	r.SetCensusSource(func() (heapdump.Snapshot, bool) { return snap, true })
 
 	// Cycle 0: 5 dead checks, 1 violation; census grows by 3 Nodes.
-	r.GCBegin(0, collector.ReasonAllocFailure)
-	stats.DeadVerified = 4
-	stats.DeadViolations = 1
-	stats.ViolationsByKind[core.KindDead] = 1
 	snap = heapdump.Snapshot{GC: 0, Types: []heapdump.TypeCensus{
 		{TypeName: "Node", Objects: 3, Words: 12},
 	}}
-	r.PhaseBegin(collector.PhaseMark)
-	r.PhaseEnd(collector.PhaseMark, time.Millisecond)
+	phases := []collector.PhaseSpan{{Phase: "mark", StartUnixNs: 7, DurNs: int64(time.Millisecond)}}
+	kinds := []collector.KindCount{
+		{Kind: "assert-dead", Checks: 5, Violations: 1},
+		{Kind: "assert-instances"},
+	}
 	r.GCEnd(&collector.Collection{
 		Seq: 0, Reason: collector.ReasonAllocFailure, Workers: 2,
 		Fallback:  collector.FallbackDecider,
+		Phases:    phases,
+		Kinds:     kinds,
 		PerWorker: []collector.WorkerStats{{Marked: 9, Steals: 1, DurNs: 10}},
 	})
+	// The collector reuses its phase and kind buffers; the recorded cycle
+	// must not see the next collection's rows.
+	phases[0].Phase, kinds[0].Checks = "sweep", 99
 
 	cy := r.Cycles()[0]
 	if cy.Fallback != "decider" {
 		t.Errorf("Fallback = %q", cy.Fallback)
 	}
-	if len(cy.Phases) != 1 || cy.Phases[0].Phase != collector.PhaseMark.String() {
+	if len(cy.Phases) != 1 || cy.Phases[0].Phase != collector.PhaseMark.String() || cy.Phases[0].StartUnixNs != 7 {
 		t.Errorf("Phases = %+v", cy.Phases)
 	}
 	if len(cy.PerWorker) != 1 || cy.PerWorker[0].Marked != 9 {
 		t.Errorf("PerWorker = %+v", cy.PerWorker)
 	}
-	var dead *KindDelta
-	for i := range cy.Kinds {
-		if cy.Kinds[i].Kind == "assert-dead" {
-			dead = &cy.Kinds[i]
-		}
-	}
-	if dead == nil || dead.Checks != 5 || dead.Violations != 1 {
-		t.Errorf("assert-dead delta = %+v", dead)
+	if len(cy.Kinds) != 1 || cy.Kinds[0] != (collector.KindCount{Kind: "assert-dead", Checks: 5, Violations: 1}) {
+		t.Errorf("Kinds = %+v, want only the active assert-dead row", cy.Kinds)
 	}
 	if len(cy.CensusDelta) != 1 || cy.CensusDelta[0].Objects != 3 || cy.CensusDelta[0].Words != 12 {
 		t.Errorf("CensusDelta = %+v", cy.CensusDelta)
 	}
 
 	// Cycle 1: Node shrinks to 1 object; the delta must go negative.
-	r.GCBegin(1, collector.ReasonForced)
 	snap = heapdump.Snapshot{GC: 1, Types: []heapdump.TypeCensus{
 		{TypeName: "Node", Objects: 1, Words: 4},
 	}}

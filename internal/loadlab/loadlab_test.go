@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gcassert/internal/collector"
 	"gcassert/internal/telemetry"
 )
 
@@ -78,7 +79,7 @@ func TestRunQueueingUnderOverload(t *testing.T) {
 }
 
 // synthetic events/records for attribution arithmetic, nanosecond-exact.
-func mkEvent(seq uint64, start, total int64, reason string, costs ...telemetry.AssertCost) telemetry.Event {
+func mkEvent(seq uint64, start, total int64, reason string, costs ...collector.AssertCost) telemetry.Event {
 	return telemetry.Event{Seq: seq, Reason: reason, StartUnixNs: start, TotalNs: total, Costs: costs}
 }
 
@@ -100,8 +101,8 @@ func TestAttributeSyntheticOverlap(t *testing.T) {
 		// overlaps the queue waits of requests 1 (from 1500) and 2 (from
 		// 2000).
 		mkEvent(0, 1500, 1000, "alloc-failure",
-			telemetry.AssertCost{Kind: "assert-ownedby", Ns: 600},
-			telemetry.AssertCost{Kind: "assert-dead", Ns: 100}),
+			collector.AssertCost{Kind: "assert-ownedby", Ns: 600},
+			collector.AssertCost{Kind: "assert-dead", Ns: 100}),
 		// Pause nested in request 2's service window [4500, 4700).
 		mkEvent(1, 4500, 200, "forced"),
 		// Pause outside the run window entirely: ignored.
@@ -165,7 +166,7 @@ func TestWriteReportRendersAttribution(t *testing.T) {
 	rep.Queue.Observe(0)
 	at := Attribute(rep, []telemetry.Event{
 		mkEvent(0, 1_000_000, 3_000_000, "alloc-failure",
-			telemetry.AssertCost{Kind: "assert-ownedby", Ns: 2_000_000}),
+			collector.AssertCost{Kind: "assert-ownedby", Ns: 2_000_000}),
 	}, 1)
 	var b strings.Builder
 	WriteReport(&b, rep, at)

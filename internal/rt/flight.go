@@ -18,9 +18,6 @@ import (
 // and the delta can be computed against it.
 func (r *Runtime) initFlight() {
 	fr := r.flight
-	if r.engine != nil {
-		fr.SetStatsSource(r.engine.Stats)
-	}
 	if r.census != nil {
 		fr.SetCensusSource(r.census.Latest)
 	}

@@ -45,10 +45,12 @@ func (r *Runtime) initGenerational(cfg Config) {
 	g.minor = collector.New(r.space, (*rootScanner)(r), nil, false)
 	g.minor.KeepMarks = true
 	// Minor collections show up in the telemetry trace too (distinguished
-	// by their reason label, which lacks the "-full" suffix), and get their
-	// triggers explained by the same pressure tracker.
+	// by their reason label, which lacks the "-full" suffix), get their
+	// triggers explained by the same pressure tracker, and carry per-kind
+	// rows: their sweep verifies asserted-dead objects.
 	g.minor.Observer = r.gc.Observer
 	g.minor.ExplainTrigger = r.gc.ExplainTrigger
+	g.minor.Accounting = r.gc.Accounting
 	g.minor.PreSweep = func() {
 		if r.engine != nil {
 			r.engine.PruneWeak()

@@ -1,35 +1,26 @@
 package rt
 
 import (
-	"time"
-
 	"gcassert/internal/collector"
-	"gcassert/internal/core"
 	"gcassert/internal/heap"
 	"gcassert/internal/telemetry"
 )
 
-// telemetrySink adapts the collector's Observer callbacks into telemetry
-// Events. It lives only on telemetry-enabled runtimes; a disabled runtime
+// telemetrySink projects each completed collection record into a telemetry
+// Event. It lives only on telemetry-enabled runtimes; a disabled runtime
 // leaves the collector's Observer nil, so the Base trace is unperturbed.
 //
 // The sink runs inside stop-the-world collections on the runtime's
 // goroutine, so plain fields need no synchronization; the tracer it feeds
 // is the concurrency boundary.
 type telemetrySink struct {
+	collector.GCEndOnly
 	r *Runtime
 	t *telemetry.Tracer
 
-	// engineBefore and heapLast are the stat snapshots used to compute
-	// per-collection deltas: engine stats at GCBegin (per-kind checks and
-	// violations of this cycle), heap stats carried across collections
-	// (allocation counters cover the whole inter-GC window).
-	engineBefore core.Stats
-	heapLast     heap.Stats
-
-	gcStart    time.Time
-	phaseStart time.Time
-	phases     []telemetry.PhaseSpan
+	// heapLast is the heap-stats snapshot of the previous collection:
+	// allocation counters cover the whole inter-GC window.
+	heapLast heap.Stats
 }
 
 var _ collector.Observer = (*telemetrySink)(nil)
@@ -38,67 +29,9 @@ func newTelemetrySink(r *Runtime, t *telemetry.Tracer) *telemetrySink {
 	return &telemetrySink{r: r, t: t, heapLast: r.space.Stats()}
 }
 
-func (s *telemetrySink) GCBegin(seq uint64, reason collector.Reason) {
-	s.gcStart = time.Now()
-	s.phases = make([]telemetry.PhaseSpan, 0, 3)
-	s.t.RecordTrigger(string(reason))
-	if s.r.engine != nil {
-		s.engineBefore = s.r.engine.Stats()
-	}
-}
-
-func (s *telemetrySink) PhaseBegin(p collector.Phase) { s.phaseStart = time.Now() }
-
-func (s *telemetrySink) PhaseEnd(p collector.Phase, d time.Duration) {
-	s.phases = append(s.phases, telemetry.PhaseSpan{
-		Phase:       p.String(),
-		StartUnixNs: s.phaseStart.UnixNano(),
-		DurNs:       int64(d),
-	})
-}
-
 func (s *telemetrySink) GCEnd(col *collector.Collection) {
-	ev := &telemetry.Event{
-		Reason:        string(col.Reason),
-		Request:       col.Request,
-		StartUnixNs:   s.gcStart.UnixNano(),
-		TotalNs:       int64(col.TotalTime),
-		Phases:        s.phases,
-		RootsScanned:  col.RootsScanned,
-		ObjectsMarked: col.ObjectsMarked,
-		ObjectsFreed:  col.ObjectsFreed,
-		ObjectsLive:   col.ObjectsLive,
-		WordsFreed:    col.WordsFreed,
-		Workers:       col.Workers,
-		Fallback:      col.Fallback,
-	}
-	if len(col.PerWorker) > 0 {
-		ev.PerWorker = make([]telemetry.WorkerMark, len(col.PerWorker))
-		for i, ws := range col.PerWorker {
-			ev.PerWorker[i] = telemetry.WorkerMark{
-				Worker: i, Marked: ws.Marked, Steals: ws.Steals, DurNs: ws.DurNs,
-			}
-		}
-	}
-	s.phases = nil
-	if s.r.engine != nil {
-		ev.Kinds = kindDeltas(s.engineBefore, s.r.engine.Stats())
-	}
-	// Cost attribution and the trigger explainer stamp the collection
-	// record; copy them through so the event stream (and the live SSE feed)
-	// carries the full operator view.
-	if col.Trigger.Why != "" {
-		ev.Trigger = col.Trigger.Why
-		ev.OccupancyPct = col.Trigger.OccupancyPct
-		ev.AllocRateWps = col.Trigger.AllocRateWps
-		ev.TriggerThread = col.Trigger.ByThread
-	}
-	if len(col.AssertCost) > 0 {
-		ev.Costs = make([]telemetry.AssertCost, len(col.AssertCost))
-		for i, c := range col.AssertCost {
-			ev.Costs[i] = telemetry.AssertCost{Kind: c.Kind, Checks: c.Checks, Ns: c.Ns}
-		}
-	}
+	s.t.RecordTrigger(string(col.Reason))
+	ev := telemetry.NewEvent(col)
 	if s.r.pressure != nil {
 		ev.Threads = make([]telemetry.ThreadAlloc, len(s.r.threads))
 		for i, th := range s.r.threads {
@@ -110,22 +43,4 @@ func (s *telemetrySink) GCEnd(col *collector.Collection) {
 		hs.WordsAllocated-s.heapLast.WordsAllocated)
 	s.heapLast = hs
 	s.t.Record(ev)
-}
-
-// kindDeltas converts the engine-stats delta of one collection into
-// per-kind check/violation counts. The natural-unit mapping lives in
-// core.CheckDeltas, shared with the flight recorder and cost attribution so
-// the unit definitions cannot drift.
-func kindDeltas(before, after core.Stats) []telemetry.KindCount {
-	checks := core.CheckDeltas(before, after)
-	names := core.KindNames()
-	out := make([]telemetry.KindCount, core.NumKinds)
-	for k := 0; k < core.NumKinds; k++ {
-		out[k] = telemetry.KindCount{
-			Kind:       names[k],
-			Checks:     checks[k],
-			Violations: after.ViolationsByKind[k] - before.ViolationsByKind[k],
-		}
-	}
-	return out
 }

@@ -5,12 +5,13 @@
 // log-bucketed pause histogram) rendered in Prometheus text exposition
 // format, and an opt-in net/http surface.
 //
-// The package is a leaf: it imports only the standard library and the
-// equally leaf-like internal/sse fan-out hub behind the live feed. The
-// collector, assertion engine and runtime feed it through the
-// collector.Observer hook wired up by internal/rt; when telemetry is
-// disabled nothing here is ever constructed and the collector pays one
-// nil-check per phase.
+// An Event is the JSON projection of one collector.Collection, the single
+// in-memory record of a collection: the package imports internal/collector
+// for the record and its row types, and otherwise only the standard library
+// and the internal/sse fan-out hub behind the live feed. The runtime feeds
+// it from the collector.Observer hook wired up by internal/rt; when
+// telemetry is disabled nothing here is ever constructed and the collector
+// pays one nil-check per phase.
 //
 // All read paths (Events, metric reads, Prometheus rendering, the HTTP
 // handlers except the heap profile) are safe to call concurrently with a
@@ -18,38 +19,11 @@
 // and the violation log is mutex-protected.
 package telemetry
 
-import "time"
+import (
+	"time"
 
-// PhaseSpan is one timed phase of a collection, with an exact wall-clock
-// window (the duration is the collector's authoritative measurement, so
-// per-phase sums over the trace match the collector's cumulative stats).
-type PhaseSpan struct {
-	// Phase is the phase label: "ownership", "mark" or "sweep".
-	Phase string `json:"phase"`
-	// StartUnixNs is the phase's wall-clock start, Unix nanoseconds.
-	StartUnixNs int64 `json:"start_unix_ns"`
-	// DurNs is the phase duration in nanoseconds.
-	DurNs int64 `json:"dur_ns"`
-}
-
-// KindCount is per-assertion-kind activity within one collection.
-type KindCount struct {
-	// Kind is the assertion kind label (e.g. "assert-dead").
-	Kind string `json:"kind"`
-	// Checks is the number of checks of this kind performed during the
-	// collection; Violations the number reported.
-	Checks     uint64 `json:"checks"`
-	Violations uint64 `json:"violations"`
-}
-
-// AssertCost attributes one assertion kind's share of a collection: checks
-// performed (exact counter deltas, in the kind's natural unit) and
-// slow-path time in nanoseconds.
-type AssertCost struct {
-	Kind   string `json:"kind"`
-	Checks uint64 `json:"checks"`
-	Ns     int64  `json:"ns"`
-}
+	"gcassert/internal/collector"
+)
 
 // ThreadAlloc is one mutator thread's cumulative allocation volume at the
 // time of the event (consumers diff successive events for rates).
@@ -59,21 +33,10 @@ type ThreadAlloc struct {
 	Words   uint64 `json:"words"`
 }
 
-// WorkerMark is one mark worker's activity within a parallel-marked
-// collection.
-type WorkerMark struct {
-	// Worker is the worker index.
-	Worker int `json:"worker"`
-	// Marked is the number of objects whose mark-bit claim this worker won.
-	Marked int `json:"marked"`
-	// Steals is the number of work packets this worker took from the
-	// shared pool.
-	Steals int `json:"steals"`
-	// DurNs is the worker goroutine's wall-clock span in nanoseconds.
-	DurNs int64 `json:"dur_ns"`
-}
-
-// Event is the structured record of one collection cycle.
+// Event is the JSONL/SSE projection of one collection record
+// (collector.Collection): the same rows, under the event stream's stable
+// field names and JSON keys, plus the runtime's per-thread allocation
+// volumes.
 type Event struct {
 	// Seq is the tracer-assigned monotonic sequence number (distinct from
 	// the collector's own count in generational mode, where minor and full
@@ -87,7 +50,7 @@ type Event struct {
 	TotalNs int64 `json:"total_ns"`
 	// Phases holds the timed phases in cycle order (ownership only when it
 	// ran).
-	Phases []PhaseSpan `json:"phases"`
+	Phases []collector.PhaseSpan `json:"phases"`
 	// RootsScanned, ObjectsMarked, ObjectsFreed, ObjectsLive and WordsFreed
 	// summarize the trace and sweep.
 	RootsScanned  int `json:"roots_scanned"`
@@ -96,7 +59,7 @@ type Event struct {
 	ObjectsLive   int `json:"objects_live"`
 	WordsFreed    int `json:"words_freed"`
 	// Kinds is per-assertion-kind activity (nil in Base mode).
-	Kinds []KindCount `json:"kinds,omitempty"`
+	Kinds []collector.KindCount `json:"kinds,omitempty"`
 	// Workers is the number of mark-phase workers used (1 = sequential
 	// marker; 0 in events recorded before the field existed).
 	Workers int `json:"workers,omitempty"`
@@ -106,7 +69,7 @@ type Event struct {
 	Fallback string `json:"fallback,omitempty"`
 	// PerWorker is per-worker mark activity; nil unless the collection
 	// marked in parallel.
-	PerWorker []WorkerMark `json:"per_worker,omitempty"`
+	PerWorker []collector.WorkerStats `json:"per_worker,omitempty"`
 	// Trigger is the one-line trigger explanation (empty unless the runtime
 	// has cost attribution on).
 	Trigger string `json:"trigger,omitempty"`
@@ -119,7 +82,7 @@ type Event struct {
 	TriggerThread string  `json:"trigger_thread,omitempty"`
 	// Costs is per-assertion-kind cost attribution (nil unless attribution
 	// is on and the collection ran assertion checks).
-	Costs []AssertCost `json:"assert_costs,omitempty"`
+	Costs []collector.AssertCost `json:"assert_costs,omitempty"`
 	// Threads is per-thread cumulative allocation volume at event time (nil
 	// without cost attribution).
 	Threads []ThreadAlloc `json:"threads,omitempty"`
@@ -129,6 +92,36 @@ type Event struct {
 	// request was executing — the cost of the feature is then one string
 	// copy of "".
 	Request string `json:"request,omitempty"`
+}
+
+// NewEvent projects a completed collection onto an event. Rows the
+// collector keeps in reused buffers (Phases, Kinds) are copied; the rest are
+// shared read-only with the record.
+func NewEvent(col *collector.Collection) *Event {
+	ev := &Event{
+		Reason:        string(col.Reason),
+		Request:       col.Request,
+		StartUnixNs:   col.StartUnixNs,
+		TotalNs:       int64(col.TotalTime),
+		Phases:        append([]collector.PhaseSpan(nil), col.Phases...),
+		RootsScanned:  col.RootsScanned,
+		ObjectsMarked: col.ObjectsMarked,
+		ObjectsFreed:  col.ObjectsFreed,
+		ObjectsLive:   col.ObjectsLive,
+		WordsFreed:    col.WordsFreed,
+		Kinds:         append([]collector.KindCount(nil), col.Kinds...),
+		Workers:       col.Workers,
+		Fallback:      col.Fallback,
+		PerWorker:     col.PerWorker,
+		Costs:         col.AssertCost,
+	}
+	if col.Trigger.Why != "" {
+		ev.Trigger = col.Trigger.Why
+		ev.OccupancyPct = col.Trigger.OccupancyPct
+		ev.AllocRateWps = col.Trigger.AllocRateWps
+		ev.TriggerThread = col.Trigger.ByThread
+	}
+	return ev
 }
 
 // PhaseNs returns the duration of the named phase in nanoseconds (0 if the

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gcassert/internal/collector"
 )
 
 // testEvents builds a deterministic two-collection trace anchored at start.
@@ -16,7 +18,7 @@ func testEvents(start time.Time) []Event {
 	return []Event{
 		{
 			Seq: 0, Reason: "alloc-failure", StartUnixNs: t0 + 1_000_000, TotalNs: 3_000_000,
-			Phases: []PhaseSpan{
+			Phases: []collector.PhaseSpan{
 				{Phase: "mark", StartUnixNs: t0 + 1_000_000, DurNs: 2_000_000},
 				{Phase: "sweep", StartUnixNs: t0 + 3_000_000, DurNs: 1_000_000},
 			},
@@ -24,13 +26,13 @@ func testEvents(start time.Time) []Event {
 		},
 		{
 			Seq: 1, Reason: "forced", StartUnixNs: t0 + 10_000_000, TotalNs: 6_000_000,
-			Phases: []PhaseSpan{
+			Phases: []collector.PhaseSpan{
 				{Phase: "ownership", StartUnixNs: t0 + 10_000_000, DurNs: 1_000_000},
 				{Phase: "mark", StartUnixNs: t0 + 11_000_000, DurNs: 4_000_000},
 				{Phase: "sweep", StartUnixNs: t0 + 15_000_000, DurNs: 1_000_000},
 			},
 			RootsScanned: 12, ObjectsMarked: 150, ObjectsFreed: 5, ObjectsLive: 150, WordsFreed: 20,
-			Kinds: []KindCount{{Kind: "assert-dead", Checks: 3, Violations: 1}},
+			Kinds: []collector.KindCount{{Kind: "assert-dead", Checks: 3, Violations: 1}},
 		},
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"gcassert/internal/collector"
 	"gcassert/internal/slo"
 	"gcassert/internal/telemetry"
 )
@@ -20,7 +21,7 @@ func sampleEvent(seq uint64, words uint64) *telemetry.Event {
 		OccupancyPct:  93.1,
 		AllocRateWps:  250_000,
 		TriggerThread: "worker-1",
-		Costs: []telemetry.AssertCost{
+		Costs: []collector.AssertCost{
 			{Kind: "assert-dead", Checks: 12, Ns: 4000},
 			{Kind: "assert-unshared", Checks: 40, Ns: 9000},
 		},

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"gcassert/internal/collector"
 	"gcassert/internal/telemetry"
 )
 
@@ -237,8 +238,8 @@ func TestBuilderSpanTree(t *testing.T) {
 	ev0.Request = r0.String()
 	ev0.Trigger = "occupancy"
 	ev0.OccupancyPct = 87.5
-	ev0.Costs = []telemetry.AssertCost{{Kind: "assert-dead", Checks: 3, Ns: 42}}
-	ev0.Phases = []telemetry.PhaseSpan{{Phase: "mark", StartUnixNs: 1500, DurNs: 60}, {Phase: "sweep", StartUnixNs: 1560, DurNs: 40}}
+	ev0.Costs = []collector.AssertCost{{Kind: "assert-dead", Checks: 3, Ns: 42}}
+	ev0.Phases = []collector.PhaseSpan{{Phase: "mark", StartUnixNs: 1500, DurNs: 60}, {Phase: "sweep", StartUnixNs: 1560, DurNs: 40}}
 	b.Violation("assert-dead", "Node", "main.go:10", "stack", "object reachable", 1550)
 	b.GCEvent(&ev0)
 	b.EndRequest(2000, "", false, 1)
