@@ -111,6 +111,12 @@ func (r *Result) OwneesCheckedPerGC() float64 {
 // runTrial executes one trial — fresh runtime, warmup iterations, one
 // measured iteration — and records it into res.
 func runTrial(w Workload, mode Mode, opt Options, res *Result) {
+	vm, run := warmUp(w, mode, opt)
+	measure(vm, run, mode, opt, res)
+}
+
+// warmUp creates a trial's runtime and runs all but the last iteration.
+func warmUp(w Workload, mode Mode, opt Options) (*gcassert.Runtime, func(int)) {
 	vm := gcassert.New(gcassert.Options{
 		HeapBytes:      w.Heap,
 		Infrastructure: mode != Base,
@@ -120,6 +126,11 @@ func runTrial(w Workload, mode Mode, opt Options, res *Result) {
 	for i := 0; i < opt.Iterations-1; i++ {
 		run(i)
 	}
+	return vm, run
+}
+
+// measure runs a warmed-up trial's last iteration and records it into res.
+func measure(vm *gcassert.Runtime, run func(int), mode Mode, opt Options, res *Result) {
 	gcBefore := vm.GCStats()
 	start := time.Now()
 	run(opt.Iterations - 1)

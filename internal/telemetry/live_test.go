@@ -188,13 +188,15 @@ func TestLiveSSESlowClientDropsFrames(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Publish far more than the handler's 64-frame buffer plus anything the
-	// kernel transport windows absorb, without ever reading resp.Body.
-	const frames = 5000
+	// Publish, without ever reading resp.Body, until a frame is dropped: past
+	// the handler's 64-frame buffer and whatever the loopback socket buffers
+	// absorb. Those hold megabytes, which under -race is more than a fixed
+	// few thousand frames outrun, so the bound is far above it.
+	const maxFrames = 500_000
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < frames; i++ {
+		for i := 0; i < maxFrames && tr.LiveDropped() == 0; i++ {
 			tr.Record(&Event{Reason: "forced"})
 		}
 	}()
